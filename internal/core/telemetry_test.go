@@ -175,6 +175,10 @@ func TestTelemetryEventStream(t *testing.T) {
 			iters = append(iters, ev.Iteration)
 		case ev.Span != nil:
 			spans[ev.Span.Name]++
+			// Every local search evaluates the acquisition at least once.
+			if a := ev.Span.Attrs; ev.Span.Name == "optimize.msp" && !(a["evals"] >= a["starts"] && a["starts"] > 0) {
+				t.Fatalf("optimize.msp span attrs %v: want evals >= starts > 0", a)
+			}
 		}
 	}
 	if runEv == nil {

@@ -125,23 +125,46 @@ type Model struct {
 // evaluation: the standardized query point, the cross-covariance row, the
 // forward-solve vector, a difference vector for the kernel profile, and the
 // profile itself (profiles carry scratch and must not be shared across
-// goroutines).
+// goroutines). When the profile is the eq. (9) kernel, nargp holds its split
+// and k2/k3 the design-only kernel rows PredictLatentAugmented reuses across
+// nodes; aug is the augmented point of its per-node fallback.
 type predictScratch struct {
-	x, ks, v, diff []float64
-	prof           kernel.PairProfile
+	x, ks, v, diff, aug []float64
+	prof                kernel.PairProfile
+	nargp               kernel.NARGPProfile
+	nargpOK             bool
+	k2, k3              []float64
 }
 
 func (m *Model) getPredictScratch() *predictScratch {
 	if sc, ok := m.predPool.Get().(*predictScratch); ok {
 		return sc
 	}
-	n, d := len(m.xs), len(m.xMean)
-	return &predictScratch{
+	d := len(m.xMean)
+	sc := &predictScratch{
 		x:    make([]float64, d),
-		ks:   make([]float64, n),
-		v:    make([]float64, n),
 		diff: make([]float64, d),
+		aug:  make([]float64, d),
 		prof: kernel.ProfileOf(m.kern), // nil for non-Pairwise kernels
+	}
+	if sc.prof != nil {
+		sc.nargp, sc.nargpOK = kernel.SplitNARGP(sc.prof, d)
+	}
+	sc.grow(len(m.xs))
+	return sc
+}
+
+// grow sizes the per-row buffers for n kernel rows; incremental appends can
+// outgrow pooled buffers sized at fit time.
+func (sc *predictScratch) grow(n int) {
+	if len(sc.ks) >= n {
+		return
+	}
+	sc.ks = make([]float64, n)
+	sc.v = make([]float64, n)
+	if sc.nargpOK {
+		sc.k2 = make([]float64, n)
+		sc.k3 = make([]float64, n)
 	}
 }
 
@@ -459,42 +482,107 @@ func (m *Model) PredictLatent(x []float64) (mean, variance float64) {
 
 func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, variance float64) {
 	m.toStdXInto(x, sc.x)
-	n := len(m.xs)
-	// Incremental appends can outgrow pooled buffers sized at fit time.
-	if len(sc.ks) < n {
-		sc.ks = make([]float64, n)
-		sc.v = make([]float64, n)
-	}
-	if m.lowRank != nil {
-		return m.lowRank.predict(m, sc)
-	}
-	ks := sc.ks[:n]
+	rows := m.kernelRows()
+	sc.grow(len(rows))
+	ks := sc.ks[:len(rows)]
+	var kss float64
 	if sc.prof != nil {
 		diff := sc.diff
-		for i := 0; i < n; i++ {
-			xi := m.xs[i]
+		for i, xi := range rows {
 			for t := range diff {
 				diff[t] = sc.x[t] - xi[t]
 			}
 			ks[i] = sc.prof.Eval(diff)
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			ks[i] = m.kern.Eval(sc.x, m.xs[i])
+		for t := range diff {
+			diff[t] = 0
 		}
-	}
-	mu := linalg.Dot(ks, m.alpha)
-	v := sc.v[:n]
-	m.chol.ForwardSolveInto(ks, v)
-	var kss float64
-	if sc.prof != nil {
-		for t := range sc.diff {
-			sc.diff[t] = 0
-		}
-		kss = sc.prof.Eval(sc.diff)
+		kss = sc.prof.Eval(diff)
 	} else {
+		for i, xi := range rows {
+			ks[i] = m.kern.Eval(sc.x, xi)
+		}
 		kss = m.kern.Eval(sc.x, sc.x)
 	}
+	return m.posterior(ks, kss, sc.v)
+}
+
+// PredictLatentAugmented evaluates PredictLatent at the augmented points
+// (x, fs[s]) for every s, writing means[s] and variances[s]; x holds every
+// input coordinate but the last. This is eq. (10)'s propagation through the
+// high-fidelity GP. When the kernel is the eq. (9) NARGP kernel
+// (kernel.SplitNARGP), the design-only factors k2 and k3 are evaluated once
+// for x and only k1 once per node, so each extra node costs n one-dimensional
+// kernel evaluations plus the O(n²) solve instead of n full kernel
+// evaluations. Results are bit-identical to per-node PredictLatent, which
+// other kernels run. Safe for concurrent use; allocates nothing in steady
+// state.
+func (m *Model) PredictLatentAugmented(x, fs, means, variances []float64) {
+	d := len(x)
+	if d+1 != len(m.xMean) {
+		panic(fmt.Sprintf("gp: augmented prediction over %d+1 inputs on a %d-input model", d, len(m.xMean)))
+	}
+	sc := m.getPredictScratch()
+	defer m.predPool.Put(sc)
+	if !sc.nargpOK {
+		copy(sc.aug, x)
+		for s, f := range fs {
+			sc.aug[d] = f
+			means[s], variances[s] = m.predictLatentInto(sc.aug, sc)
+		}
+		return
+	}
+	for t := 0; t < d; t++ {
+		sc.x[t] = (x[t] - m.xMean[t]) / m.xStd[t]
+	}
+	rows := m.kernelRows()
+	n := len(rows)
+	sc.grow(n)
+	ks, k2, k3 := sc.ks[:n], sc.k2[:n], sc.k3[:n]
+	sp := sc.nargp
+	dx, df := sc.diff[:d], sc.diff[d:]
+	for i, xi := range rows {
+		for t := range dx {
+			dx[t] = sc.x[t] - xi[t]
+		}
+		k2[i] = sp.K2.Eval(dx)
+		k3[i] = sp.K3.Eval(dx)
+	}
+	for t := range sc.diff {
+		sc.diff[t] = 0
+	}
+	// The conversions keep the products rounded exactly as the whole
+	// profile's Eval rounds them (no fused multiply-add).
+	kss := float64(sp.K1.Eval(df)*sp.K2.Eval(dx)) + sp.K3.Eval(dx)
+	for s, f := range fs {
+		sf := (f - m.xMean[d]) / m.xStd[d]
+		for i, xi := range rows {
+			df[0] = sf - xi[d]
+			ks[i] = float64(sp.K1.Eval(df)*k2[i]) + k3[i]
+		}
+		means[s], variances[s] = m.posterior(ks, kss, sc.v)
+	}
+}
+
+// kernelRows returns the standardized inputs a posterior's cross-covariance
+// row runs over: the training set, or the inducing set on the low-rank path.
+func (m *Model) kernelRows() [][]float64 {
+	if m.lowRank != nil {
+		return m.lowRank.zs
+	}
+	return m.xs
+}
+
+// posterior turns the cross-covariance row ks over kernelRows and the prior
+// variance kss into the latent posterior mean and variance in output units;
+// v is forward-solve scratch at least as long as ks.
+func (m *Model) posterior(ks []float64, kss float64, v []float64) (mean, variance float64) {
+	if m.lowRank != nil {
+		return m.lowRank.posterior(m, ks, kss, v)
+	}
+	mu := linalg.Dot(ks, m.alpha)
+	v = v[:len(ks)]
+	m.chol.ForwardSolveInto(ks, v)
 	va := kss - linalg.Dot(v, v)
 	if va < 0 {
 		va = 0

@@ -178,35 +178,11 @@ func (lr *lowRankState) refreshWeights(m *Model) {
 	m.nlml = 0.5*quad + 0.5*logdet + 0.5*float64(lr.n)*math.Log(2*math.Pi)
 }
 
-// predict evaluates the DTC posterior at a standardized point, using the
-// caller's scratch (ks holds k_m, v the triangular solves).
-func (lr *lowRankState) predict(m *Model, sc *predictScratch) (mean, variance float64) {
-	mi := len(lr.zs)
-	km := sc.ks[:mi]
-	if sc.prof != nil {
-		diff := sc.diff
-		for i, zi := range lr.zs {
-			for t := range diff {
-				diff[t] = sc.x[t] - zi[t]
-			}
-			km[i] = sc.prof.Eval(diff)
-		}
-	} else {
-		for i, zi := range lr.zs {
-			km[i] = m.kern.Eval(sc.x, zi)
-		}
-	}
+// posterior evaluates the DTC posterior from the cross-covariance row km to
+// the inducing set and the prior variance kss; v is triangular-solve scratch.
+func (lr *lowRankState) posterior(m *Model, km []float64, kss float64, v []float64) (mean, variance float64) {
 	mu := linalg.Dot(km, lr.w)
-	var kss float64
-	if sc.prof != nil {
-		for t := range sc.diff {
-			sc.diff[t] = 0
-		}
-		kss = sc.prof.Eval(sc.diff)
-	} else {
-		kss = m.kern.Eval(sc.x, sc.x)
-	}
-	v := sc.v[:mi]
+	v = v[:len(km)]
 	lr.cholMM.ForwardSolveInto(km, v)
 	va := kss - linalg.Dot(v, v)
 	lr.cholSigma.ForwardSolveInto(km, v)

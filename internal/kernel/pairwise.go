@@ -366,3 +366,44 @@ func (p *sliceProfile) Eval(diff []float64) float64 {
 func (p *sliceProfile) EvalGrad(diff, grad []float64) float64 {
 	return p.inner.EvalGrad(diff[p.start:p.end], grad)
 }
+
+// NARGPProfile is the eq. (9) split of the profile of NewNARGP(d) over the
+// augmented input z = (x, f):
+//
+//	Eval(diff) == float64(K1.Eval(diff[d:]) * K2.Eval(diff[:d])) + K3.Eval(diff[:d])
+//
+// bit for bit (the explicit conversion keeps a fused multiply-add from
+// skipping the product's rounding, as the separate profile calls do). K1 reads
+// the one-element difference of the last coordinate, K2 and K3 the d design
+// differences, so a caller that varies only f — the propagation nodes of
+// eq. (10) — evaluates K2 and K3 once per design point and K1 once per node.
+type NARGPProfile struct {
+	K1, K2, K3 PairProfile
+	Dim        int // design dimension d; the profile's input has d+1 coordinates
+}
+
+// SplitNARGP recognizes the profile built by NewNARGP(width−1).Profile() and
+// returns its factors. ok is false for every other structure, including sums
+// and products of the same factors in another shape or over a wider input;
+// such kernels have no design-only part to hoist.
+func SplitNARGP(p PairProfile, width int) (s NARGPProfile, ok bool) {
+	sum, ok := p.(*sumProfile)
+	if !ok {
+		return s, false
+	}
+	prod, ok := sum.a.(*productProfile)
+	if !ok {
+		return s, false
+	}
+	k1, ok1 := prod.a.(*sliceProfile)
+	k2, ok2 := prod.b.(*sliceProfile)
+	k3, ok3 := sum.b.(*sliceProfile)
+	if !ok1 || !ok2 || !ok3 {
+		return s, false
+	}
+	d := k2.end
+	if d < 1 || d+1 != width || k2.start != 0 || k3.start != 0 || k3.end != d || k1.start != d || k1.end != d+1 {
+		return s, false
+	}
+	return NARGPProfile{K1: k1.inner, K2: k2.inner, K3: k3.inner, Dim: d}, true
+}

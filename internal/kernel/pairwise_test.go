@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -111,5 +112,66 @@ func TestProfileSnapshotsHyperparameters(t *testing.T) {
 	}
 	if fresh := ProfileOf(k).Eval(diff); fresh != k.Eval(x1, x2) {
 		t.Fatalf("fresh profile %v != direct %v", fresh, k.Eval(x1, x2))
+	}
+}
+
+// TestSplitNARGPBitIdentical checks the eq. (9) split against the whole
+// profile: recombined factors must reproduce Eval bit for bit, diagonal
+// included.
+func TestSplitNARGPBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 5, 36} {
+		k := NewNARGP(d)
+		lo, hi := BoundsVectors(k)
+		for trial := 0; trial < 20; trial++ {
+			h := make([]float64, k.NumHyper())
+			for j := range h {
+				h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+			}
+			SetHyperVector(k, h)
+			p := ProfileOf(k)
+			s, ok := SplitNARGP(p, d+1)
+			if !ok || s.Dim != d {
+				t.Fatalf("d=%d: SplitNARGP = (dim %d, %v), want (dim %d, true)", d, s.Dim, ok, d)
+			}
+			diff := make([]float64, d+1)
+			for pass := 0; pass < 2; pass++ {
+				if pass == 1 {
+					for j := range diff {
+						diff[j] = rng.NormFloat64()
+					}
+				}
+				got := float64(s.K1.Eval(diff[d:])*s.K2.Eval(diff[:d])) + s.K3.Eval(diff[:d])
+				if want := p.Eval(diff); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("d=%d trial %d: split %v != profile %v", d, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitNARGPRejectsOtherShapes covers the fallback contract: only the
+// NewNARGP structure splits.
+func TestSplitNARGPRejectsOtherShapes(t *testing.T) {
+	const d = 3
+	se := func(n int) Kernel { return NewSEARD(n) }
+	for name, k := range map[string]Kernel{
+		"seard": se(d + 1),
+		"sum":   NewSum(se(d+1), se(d+1)),
+		"swapped-product": NewSum(NewProduct(NewSlice(se(d), 0, d, d+1), NewSlice(se(1), d, d+1, d+1)),
+			NewSlice(se(d), 0, d, d+1)),
+		"k1-not-last": NewSum(NewProduct(NewSlice(se(1), 0, 1, d+1), NewSlice(se(d), 1, d+1, d+1)),
+			NewSlice(se(d), 1, d+1, d+1)),
+		"k3-partial": NewSum(NewProduct(NewSlice(se(1), d, d+1, d+1), NewSlice(se(d), 0, d, d+1)),
+			NewSlice(se(d-1), 0, d-1, d+1)),
+		"extra-coordinate": NewSum(NewProduct(NewSlice(se(1), d, d+1, d+2), NewSlice(se(d), 0, d, d+2)),
+			NewSlice(se(d), 0, d, d+2)),
+	} {
+		if _, ok := SplitNARGP(ProfileOf(k), k.Dim()); ok {
+			t.Fatalf("%s: SplitNARGP accepted a non-eq. (9) profile", name)
+		}
+	}
+	if _, ok := SplitNARGP(nil, d+1); ok {
+		t.Fatal("SplitNARGP accepted a nil profile")
 	}
 }

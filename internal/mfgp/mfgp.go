@@ -93,18 +93,29 @@ type Model struct {
 	predPool sync.Pool
 }
 
-// PredictScratch is the reusable buffer set for one fused prediction — most
-// importantly the augmented point (x, f_l(x)) that Predict previously
-// rebuilt with append on every Monte-Carlo propagation. Obtain one with
-// NewPredictScratch and pass it to PredictInto; a scratch must not be used
-// from two goroutines at once.
+// PredictScratch is the reusable buffer set for one fused prediction: the
+// augmented coordinates f_s of eq. (10)'s propagation nodes and the
+// high-fidelity posterior at each. Obtain one with NewPredictScratch and pass
+// it to PredictInto; a scratch must not be used from two goroutines at once.
 type PredictScratch struct {
-	aug []float64
+	fs, mus, vas []float64
 }
 
-// NewPredictScratch returns a scratch sized for the model's design space.
+// NewPredictScratch returns a scratch sized for the model's propagation nodes.
 func (m *Model) NewPredictScratch() *PredictScratch {
-	return &PredictScratch{aug: make([]float64, m.dim+1)}
+	sc := &PredictScratch{}
+	sc.nodes(max(len(m.zs), 1))
+	return sc
+}
+
+// nodes returns the per-node buffers for n nodes, growing them if needed.
+func (sc *PredictScratch) nodes(n int) (fs, mus, vas []float64) {
+	if len(sc.fs) < n {
+		sc.fs = make([]float64, n)
+		sc.mus = make([]float64, n)
+		sc.vas = make([]float64, n)
+	}
+	return sc.fs[:n], sc.mus[:n], sc.vas[:n]
 }
 
 func (m *Model) getPredictScratch() *PredictScratch {
@@ -241,27 +252,42 @@ func (m *Model) Predict(x []float64) (mean, variance float64) {
 	return mean, variance
 }
 
-// PredictInto is Predict with caller-owned scratch: the augmented point
-// (x, f_l(x)) is assembled in sc.aug instead of a fresh allocation per call.
-// Acquisition loops and PredictBatch route every posterior evaluation
+// PredictInto is Predict with caller-owned scratch for the propagation
+// nodes. Acquisition loops and PredictBatch route every posterior evaluation
 // through here; results are identical to Predict.
 func (m *Model) PredictInto(x []float64, sc *PredictScratch) (mean, variance float64) {
 	muL, vaL := m.low.PredictLatent(x)
-	sdL := math.Sqrt(math.Max(vaL, 0))
-	if m.prop == PlugIn || sdL == 0 {
-		return m.predictAt(x, muL, sc)
+	return propagate(m.high, x, muL, vaL, m.prop, m.zs, m.weights, sc)
+}
+
+// propagate pushes the Gaussian posterior N(mu, va) of the level below
+// through the augmented-input GP high at design point x (eq. 10): at the
+// nodes f = mu + sd·z for z in zs, equally weighted unless weights are
+// given, or at mu alone under PlugIn or when the lower level is certain. It
+// returns the moment-matched mean and variance (law of total variance).
+// The two-fidelity Model and every MultiLevel step share it.
+func propagate(high *gp.Model, x []float64, mu, va float64, prop Propagation,
+	zs, weights []float64, sc *PredictScratch) (mean, variance float64) {
+	sd := math.Sqrt(math.Max(va, 0))
+	if prop == PlugIn || sd == 0 {
+		fs, mus, vas := sc.nodes(1)
+		fs[0] = mu
+		high.PredictLatentAugmented(x, fs, mus, vas)
+		return mus[0], vas[0]
 	}
-	aug := sc.aug
-	copy(aug, x)
+	n := len(zs)
+	fs, mus, vas := sc.nodes(n)
+	for i, z := range zs {
+		fs[i] = mu + sd*z
+	}
+	high.PredictLatentAugmented(x, fs, mus, vas)
 	var sumW, meanAcc, m2Acc float64
-	n := len(m.zs)
 	for i := 0; i < n; i++ {
 		w := 1.0 / float64(n)
-		if m.weights != nil {
-			w = m.weights[i]
+		if weights != nil {
+			w = weights[i]
 		}
-		aug[m.dim] = muL + sdL*m.zs[i]
-		mu, va := m.high.PredictLatent(aug)
+		mu, va := mus[i], vas[i]
 		sumW += w
 		meanAcc += w * mu
 		m2Acc += w * (va + mu*mu)
@@ -272,13 +298,6 @@ func (m *Model) PredictInto(x []float64, sc *PredictScratch) (mean, variance flo
 		variance = 0
 	}
 	return mean, variance
-}
-
-// predictAt evaluates the high-fidelity GP at the plug-in augmented point.
-func (m *Model) predictAt(x []float64, fl float64, sc *PredictScratch) (float64, float64) {
-	copy(sc.aug, x)
-	sc.aug[m.dim] = fl
-	return m.high.PredictLatent(sc.aug)
 }
 
 // PredictBatch evaluates Predict over many points, fanning the grid across

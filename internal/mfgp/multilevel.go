@@ -3,8 +3,8 @@ package mfgp
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/gp"
 	"repro/internal/kernel"
@@ -27,6 +27,10 @@ type MultiLevel struct {
 	zs      [][]float64 // propagation nodes per fused level
 	weights []float64   // quadrature weights (GaussHermite); nil for MC
 	prop    Propagation
+
+	// predPool recycles *PredictScratch so Predict allocates nothing in
+	// steady state.
+	predPool sync.Pool
 }
 
 // MultiLevelConfig tunes multi-level training.
@@ -242,35 +246,16 @@ func (m *MultiLevel) PredictLevel(x []float64, l int) (mean, variance float64) {
 // approximation used by recursive NARGP implementations.
 func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 	mu, va := m.models[0].PredictLatent(x)
-	aug := append(append(make([]float64, 0, m.dim+1), x...), 0)
-	for lev := 1; lev <= l; lev++ {
-		sd := math.Sqrt(math.Max(va, 0))
-		if m.prop == PlugIn || sd == 0 {
-			aug[m.dim] = mu
-			mu, va = m.models[lev].PredictLatent(aug)
-			if va < 0 {
-				va = 0
-			}
-			continue
-		}
-		zs := m.zs[lev-1]
-		var sumW, meanAcc, m2Acc float64
-		for i, z := range zs {
-			w := 1.0 / float64(len(zs))
-			if m.weights != nil {
-				w = m.weights[i]
-			}
-			aug[m.dim] = mu + sd*z
-			mi, vi := m.models[lev].PredictLatent(aug)
-			sumW += w
-			meanAcc += w * mi
-			m2Acc += w * (vi + mi*mi)
-		}
-		mu = meanAcc / sumW
-		va = m2Acc/sumW - mu*mu
-		if va < 0 {
-			va = 0
-		}
+	if l == 0 {
+		return mu, va
 	}
+	sc, ok := m.predPool.Get().(*PredictScratch)
+	if !ok {
+		sc = new(PredictScratch) // node buffers grow on first use
+	}
+	for lev := 1; lev <= l; lev++ {
+		mu, va = propagate(m.models[lev], x, mu, va, m.prop, m.zs[lev-1], m.weights, sc)
+	}
+	m.predPool.Put(sc)
 	return mu, va
 }

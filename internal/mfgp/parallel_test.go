@@ -82,17 +82,34 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 }
 
 // TestPredictAllocationLean asserts the satellite fix for the augmented-point
-// allocation: after warmup, a fused prediction must run with (near) zero
-// allocations per call thanks to the pooled scratch.
+// allocation: after warmup, a fused prediction — of the pair model and of a
+// three-level chain — must run with (near) zero allocations per call thanks
+// to the pooled scratch.
 func TestPredictAllocationLean(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race runtime defeats sync.Pool reuse; alloc counts only hold without -race")
 	}
 	Xl, yl, Xh, yh, lo, hi := fusionSet(31, 30, 10, 3)
+	Xm := stats.LatinHypercube(rand.New(rand.NewSource(34)), lo, hi, 15)
+	ym := make([]float64, len(Xm))
+	for i, x := range Xm {
+		for j, v := range x {
+			ym[i] += math.Sin(3*v + float64(j))
+		}
+	}
+	x := stats.LatinHypercube(rand.New(rand.NewSource(33)), lo, hi, 1)[0]
+	checkAllocs := func(t *testing.T, name string, predict func([]float64) (float64, float64)) {
+		t.Helper()
+		predict(x) // warm the scratch pools
+		allocs := testing.AllocsPerRun(200, func() { predict(x) })
+		if allocs > 2 {
+			t.Fatalf("%s allocates %.1f objects per call; want ≤ 2", name, allocs)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		prop Propagation
-	}{{"plugin", PlugIn}, {"gauss-hermite", GaussHermite}} {
+	}{{"plugin", PlugIn}, {"gauss-hermite", GaussHermite}, {"monte-carlo", MonteCarlo}} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := Fit(Xl, yl, Xh, yh, Config{
 				MaxIter: 30, Propagation: tc.prop, NumSamples: 10,
@@ -100,12 +117,14 @@ func TestPredictAllocationLean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := stats.LatinHypercube(rand.New(rand.NewSource(33)), lo, hi, 1)[0]
-			m.Predict(x) // warm the scratch pools
-			allocs := testing.AllocsPerRun(200, func() { m.Predict(x) })
-			if allocs > 2 {
-				t.Fatalf("Predict allocates %.1f objects per call; want ≤ 2", allocs)
+			checkAllocs(t, "Model.Predict", m.Predict)
+			ml, err := FitMultiLevel([][][]float64{Xm, Xl, Xh}, [][]float64{ym, yl, yh}, MultiLevelConfig{
+				MaxIter: 30, Propagation: tc.prop, NumSamples: 10,
+			}, rand.New(rand.NewSource(35)))
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkAllocs(t, "MultiLevel.Predict", ml.Predict)
 		})
 	}
 }

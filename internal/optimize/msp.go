@@ -41,12 +41,15 @@ type MSPConfig struct {
 }
 
 // MSPStats records what one MaximizeMSP run did: how many local searches
-// started, how many diverged to a non-finite value (and were discarded by
-// the argmax), which start won, and the winning acquisition value. The MFBO
-// loop surfaces these in its per-iteration telemetry events so a stuck MSP
-// search is visible at runtime.
+// started, how many objective evaluations they made, how many diverged to a
+// non-finite value (and were discarded by the argmax), which start won, and
+// the winning acquisition value. The MFBO loop surfaces these in its
+// per-iteration telemetry events so a stuck MSP search is visible at
+// runtime; Evals against the span's duration gives the cost of one
+// acquisition evaluation.
 type MSPStats struct {
 	Starts    int     // local searches launched (incumbent/uniform/Extra)
+	Evals     int     // objective evaluations, fallback included
 	Diverged  int     // starts whose refined value was NaN/±Inf
 	BestStart int     // index of the winning start (-1 = total-divergence fallback)
 	BestF     float64 // maximized objective value
@@ -89,14 +92,21 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 	defer span.End()
 	starts := mspStarts(rng, box, incumbentHigh, incumbentLow, cfg)
 	span.Attr("starts", float64(len(starts)))
-	neg := func(x []float64) float64 { return -f(x) }
 	type local struct {
-		x []float64
-		f float64 // maximized objective value
+		x     []float64
+		f     float64 // maximized objective value
+		evals int
 	}
 	results := make([]local, len(starts))
 	parallel.ForEach(parallel.Workers(cfg.Workers), len(starts), func(i int) {
 		s := starts[i]
+		// Each start counts its own evaluations; the counts are summed in
+		// start order below, independent of the worker schedule.
+		evals := 0
+		neg := func(x []float64) float64 {
+			evals++
+			return -f(x)
+		}
 		var r Result
 		if cfg.UseNM {
 			r = NelderMead(func(x []float64) float64 {
@@ -110,12 +120,13 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 		} else {
 			r = MinimizeInBox(neg, box, s, LBFGSConfig{MaxIter: cfg.LocalIter})
 		}
-		results[i] = local{x: r.X, f: -r.F}
+		results[i] = local{x: r.X, f: -r.F, evals: evals}
 	})
 	var bestX []float64
 	bestF := math.Inf(-1)
-	bestIdx, diverged := -1, 0
+	bestIdx, diverged, evals := -1, 0, 0
 	for i, r := range results {
+		evals += r.evals
 		if math.IsNaN(r.f) || math.IsInf(r.f, 0) {
 			diverged++
 			continue
@@ -133,10 +144,12 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 		// that the local search from starts[0] subsumes.
 		bestX = box.Clip(starts[0])
 		bestF = f(bestX)
+		evals++
 	}
 	if cfg.Stats != nil {
-		*cfg.Stats = MSPStats{Starts: len(starts), Diverged: diverged, BestStart: bestIdx, BestF: bestF}
+		*cfg.Stats = MSPStats{Starts: len(starts), Evals: evals, Diverged: diverged, BestStart: bestIdx, BestF: bestF}
 	}
+	span.Attr("evals", float64(evals))
 	span.Attr("diverged", float64(diverged))
 	span.Attr("best_f", bestF)
 	return bestX, bestF

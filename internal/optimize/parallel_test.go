@@ -3,6 +3,7 @@ package optimize
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -13,18 +14,33 @@ func multimodal(x []float64) float64 {
 }
 
 // TestMaximizeMSPParallelDeterminism pins the acquisition maximizer: the
-// selected optimum must be bit-identical for Workers=1 and Workers=8 across
-// seeds, including the tie-breaking among equally good local optima.
+// selected optimum and the run's statistics must be identical for Workers=1
+// and Workers=8 across seeds, including the tie-breaking among equally good
+// local optima, and MSPStats.Evals must count every objective call.
 func TestMaximizeMSPParallelDeterminism(t *testing.T) {
 	box := NewBox([]float64{-2, -2}, []float64{2, 2})
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		run := func(workers int) ([]float64, float64) {
+		run := func(workers int) ([]float64, float64, MSPStats) {
 			rng := rand.New(rand.NewSource(seed))
-			return MaximizeMSP(rng, multimodal, box, []float64{0.3, -0.2}, nil,
-				MSPConfig{Starts: 12, LocalIter: 30, Workers: workers})
+			var calls atomic.Int64
+			f := func(x []float64) float64 {
+				calls.Add(1)
+				return multimodal(x)
+			}
+			var st MSPStats
+			x, v := MaximizeMSP(rng, f, box, []float64{0.3, -0.2}, nil,
+				MSPConfig{Starts: 12, LocalIter: 30, Workers: workers, Stats: &st})
+			if int64(st.Evals) != calls.Load() {
+				t.Fatalf("seed %d, workers %d: Stats.Evals %d, objective called %d times",
+					seed, workers, st.Evals, calls.Load())
+			}
+			return x, v, st
 		}
-		x1, f1 := run(1)
-		x8, f8 := run(8)
+		x1, f1, st1 := run(1)
+		x8, f8, st8 := run(8)
+		if st1 != st8 {
+			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, st1, st8)
+		}
 		if math.Float64bits(f1) != math.Float64bits(f8) {
 			t.Fatalf("seed %d: objective differs: %v vs %v", seed, f1, f8)
 		}
@@ -41,13 +57,21 @@ func TestMaximizeMSPParallelDeterminism(t *testing.T) {
 // (the clipped first start) instead of a NaN coordinate vector.
 func TestMaximizeMSPAllDivergedFallsBack(t *testing.T) {
 	box := NewBox([]float64{0, 0}, []float64{1, 1})
-	nan := func(x []float64) float64 { return math.NaN() }
 	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		nan := func(x []float64) float64 {
+			calls.Add(1)
+			return math.NaN()
+		}
 		rng := rand.New(rand.NewSource(6))
+		var st MSPStats
 		x, _ := MaximizeMSP(rng, nan, box, nil, nil,
-			MSPConfig{Starts: 5, LocalIter: 10, Workers: workers})
+			MSPConfig{Starts: 5, LocalIter: 10, Workers: workers, Stats: &st})
 		if len(x) != 2 || !box.Contains(x) {
 			t.Fatalf("workers=%d: fallback point out of box: %v", workers, x)
+		}
+		if st.Diverged != 5 || st.BestStart != -1 || int64(st.Evals) != calls.Load() {
+			t.Fatalf("workers=%d: stats %+v after %d objective calls", workers, st, calls.Load())
 		}
 		for j, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
