@@ -96,14 +96,14 @@ func MSP(workers int) func(*testing.B) {
 }
 
 // PredictBatch measures fused-posterior grid evaluation: a 512-point batch
-// through a two-fidelity model, fanned across the given worker count.
+// through a two-level chain, fanned across the given worker count.
 func PredictBatch(workers int) func(*testing.B) {
 	return func(b *testing.B) {
 		m, grid := fittedMF(workers)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.PredictBatch(grid)
+			m.PredictBatch(grid, workers)
 		}
 	}
 }
@@ -121,8 +121,8 @@ func PredictSingle() func(*testing.B) {
 	}
 }
 
-// fittedMF builds the shared two-fidelity surrogate and prediction grid.
-func fittedMF(workers int) (*mfgp.Model, [][]float64) {
+// fittedMF builds the shared two-level fused surrogate and prediction grid.
+func fittedMF(workers int) (*mfgp.MultiLevel, [][]float64) {
 	Xl, yl, lo, hi := dataset(3, 60, 3)
 	rng := rand.New(rand.NewSource(13))
 	Xh := stats.LatinHypercube(rng, lo, hi, 16)
@@ -134,7 +134,7 @@ func fittedMF(workers int) (*mfgp.Model, [][]float64) {
 		}
 		yh[i] = 1.1*s + 0.05
 	}
-	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+	m, err := mfgp.FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, mfgp.MultiLevelConfig{
 		MaxIter: 30, Workers: workers,
 	}, rng)
 	if err != nil {

@@ -40,7 +40,9 @@ type Checkpoint struct {
 	// Training sets (successful evaluations only; failures live in History).
 	LowX, LowY   [][]float64
 	HighX, HighY [][]float64
-	// Warm-start hyperparameters per output (may contain nil entries).
+	// Warm-start hyperparameters per output (may contain nil entries) of the
+	// level-0 and — on two-rung runs — the fused target-level GP. K>2 runs
+	// carry every level in WarmChain and leave WarmHigh empty.
 	WarmLow, WarmHigh [][]float64
 	// SinceRefit is the Incremental-mode fit-skip counter: the number of
 	// proposals served from the cached models since the last full
@@ -122,8 +124,8 @@ func (st *state) snapshot() *Checkpoint {
 		LowY:           cloneMatrix(st.low.Y),
 		HighX:          cloneMatrix(st.high.X),
 		HighY:          cloneMatrix(st.high.Y),
-		WarmLow:        cloneMatrix(st.warmLow),
-		WarmHigh:       cloneMatrix(st.warmHigh),
+		WarmLow:        st.warmLevel(0),
+		WarmHigh:       make([][]float64, st.nOut),
 		SinceRefit:     st.sinceRefit,
 		History:        hist,
 		Degradations:   append([]Degradation(nil), st.res.Degradations...),
@@ -139,11 +141,47 @@ func (st *state) snapshot() *Checkpoint {
 			ck.MidX[i] = cloneMatrix(d.X)
 			ck.MidY[i] = cloneMatrix(d.Y)
 		}
-		for _, levels := range st.warmChain {
+		for _, levels := range st.warm {
 			ck.WarmChain = append(ck.WarmChain, cloneMatrix(levels))
 		}
+	} else {
+		ck.WarmHigh = st.warmLevel(1)
 	}
 	return ck
+}
+
+// warmLevel copies every output's warm hyperparameters of chain level l (nil
+// for outputs not fitted yet).
+func (st *state) warmLevel(l int) [][]float64 {
+	out := make([][]float64, st.nOut)
+	for k, levels := range st.warm {
+		if levels != nil {
+			out[k] = append([]float64(nil), levels[l]...)
+		}
+	}
+	return out
+}
+
+// restoreWarm rebuilds the per-output, per-level warm hyperparameters from a
+// snapshot: WarmChain on K>2 ladders, WarmLow/WarmHigh on two-rung runs. A
+// K>2 output with no chain entry falls back to its WarmLow level 0.
+func (st *state) restoreWarm(ck *Checkpoint) {
+	rungs := st.ladder.Rungs()
+	for k := range st.warm {
+		levels := make([][]float64, rungs)
+		if rungs > 2 && len(ck.WarmChain) == st.nOut && len(ck.WarmChain[k]) == rungs {
+			levels = cloneMatrix(ck.WarmChain[k])
+		}
+		if levels[0] == nil && len(ck.WarmLow) == st.nOut {
+			levels[0] = append([]float64(nil), ck.WarmLow[k]...)
+		}
+		if rungs == 2 && len(ck.WarmHigh) == st.nOut {
+			levels[1] = append([]float64(nil), ck.WarmHigh[k]...)
+		}
+		if levels[0] != nil {
+			st.warm[k] = levels
+		}
+	}
 }
 
 // checkpoint invokes the configured Checkpointer hook, if any, with a full

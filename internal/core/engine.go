@@ -212,17 +212,7 @@ func RestoreEngine(p problem.Problem, cfg Config, rng *rand.Rand, ck *Checkpoint
 			st.mid[i] = &dataset{X: cloneMatrix(ck.MidX[i]), Y: cloneMatrix(ck.MidY[i])}
 		}
 	}
-	if len(ck.WarmLow) == st.nOut {
-		st.warmLow = cloneMatrix(ck.WarmLow)
-	}
-	if len(ck.WarmHigh) == st.nOut {
-		st.warmHigh = cloneMatrix(ck.WarmHigh)
-	}
-	if len(ck.WarmChain) == st.nOut && st.ladder.Rungs() > 2 {
-		for k, levels := range ck.WarmChain {
-			st.warmChain[k] = cloneMatrix(levels)
-		}
-	}
+	st.restoreWarm(ck)
 	st.sinceRefit = ck.SinceRefit
 	st.res.NumLow = ck.NumLow
 	st.res.NumHigh = ck.NumHigh
@@ -572,7 +562,7 @@ func (e *Engine) proposeSlot(ctx context.Context, batch bool) {
 		ds := st.ds(r)
 		ds.X, ds.Y = ds.X[:sizes[r]], ds.Y[:sizes[r]]
 	}
-	st.retract(sizes)
+	st.retractLadderCache(sizes)
 	if st.telem != nil {
 		span.End()
 		if st.met != nil {

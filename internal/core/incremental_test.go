@@ -83,10 +83,9 @@ func TestIncrementalFitSkipSchedule(t *testing.T) {
 }
 
 // TestIncrementalSkipsUntouchedModels is the regression test for the
-// wasted-refit bug: when only the low-fidelity dataset grows, the cached
-// high-fidelity (fused) models must be served untouched — same pointers, same
-// factorization — while the low models absorb the new row via a rank-1
-// update.
+// wasted-refit bug: when only the rung-0 dataset grows, the cached chains'
+// target-level GPs must be served untouched — same pointers, same
+// factorization — while level 0 absorbs the new row via a rank-1 update.
 func TestIncrementalSkipsUntouchedModels(t *testing.T) {
 	p := testfunc.Forrester()
 	cfg := fastCfg(20)
@@ -113,38 +112,39 @@ func TestIncrementalSkipsUntouchedModels(t *testing.T) {
 		}
 	}
 	st := eng.st
-	c := st.cache
+	c := st.lcache
 	if c == nil {
 		t.Fatal("adaptive proposal left no surrogate cache")
 	}
-	fusedBefore := c.fused[0]
-	if fusedBefore == nil {
-		t.Fatal("cache holds no fused model")
+	chain := c.chains[0]
+	if chain.Levels() != 2 {
+		t.Fatalf("cached chain has %d levels, want the fused two-level chain", chain.Levels())
 	}
-	highNLML := fusedBefore.High().NLML()
-	highSize := fusedBefore.High().TrainingSize()
-	lowSize := c.lowGPs[0].TrainingSize()
+	highBefore := chain.Level(1)
+	highNLML := highBefore.NLML()
+	highSize := highBefore.TrainingSize()
+	lowSize := chain.Level(0).TrainingSize()
 
-	// A new LOW observation arrives; the next proposal must extend the low
-	// models in place and leave the fused models' high factorization alone.
+	// A new LOW observation arrives; the next proposal must extend level 0
+	// in place and leave the target level's factorization alone.
 	x := []float64{0.375}
 	st.low.X = append(st.low.X, x)
 	st.low.Y = append(st.low.Y, []float64{p.Evaluate(x, problem.Low).Objective})
-	lowGPs, fused, ok, skipped := st.incrementalSurrogates(st.iter+1, nil)
+	chains, ok, skipped := st.incrementalLadder(st.iter+1, nil)
 	if !ok || !skipped {
 		t.Fatalf("expected a skipped fit, got ok=%v skipped=%v", ok, skipped)
 	}
-	if fused[0] != fusedBefore {
-		t.Fatal("fused model was rebuilt despite receiving no new data")
+	if chains[0] != chain || chains[0].Level(1) != highBefore {
+		t.Fatal("target level was rebuilt despite receiving no new data")
 	}
-	if got := fused[0].High().NLML(); got != highNLML {
+	if got := highBefore.NLML(); got != highNLML {
 		t.Fatalf("high factorization changed: NLML %v vs %v", got, highNLML)
 	}
-	if got := fused[0].High().TrainingSize(); got != highSize {
+	if got := highBefore.TrainingSize(); got != highSize {
 		t.Fatalf("high training size changed: %d vs %d", got, highSize)
 	}
-	if got := lowGPs[0].TrainingSize(); got != lowSize+1 {
-		t.Fatalf("low model did not absorb the new row: size %d, want %d", got, lowSize+1)
+	if got := chains[0].Level(0).TrainingSize(); got != lowSize+1 {
+		t.Fatalf("level 0 did not absorb the new row: size %d, want %d", got, lowSize+1)
 	}
 }
 
@@ -201,15 +201,12 @@ func TestIncrementalCheckpointRoundTrip(t *testing.T) {
 	if restored.st.sinceRefit != eng.st.sinceRefit {
 		t.Fatalf("restored sinceRefit %d, want %d", restored.st.sinceRefit, eng.st.sinceRefit)
 	}
-	if !reflect.DeepEqual(restored.st.warmLow, eng.st.warmLow) {
-		t.Fatalf("warm low hypers did not survive restore:\n%v\nvs\n%v", restored.st.warmLow, eng.st.warmLow)
-	}
-	if !reflect.DeepEqual(restored.st.warmHigh, eng.st.warmHigh) {
-		t.Fatalf("warm high hypers did not survive restore:\n%v\nvs\n%v", restored.st.warmHigh, eng.st.warmHigh)
+	if !reflect.DeepEqual(restored.st.warm, eng.st.warm) {
+		t.Fatalf("warm hypers did not survive restore:\n%v\nvs\n%v", restored.st.warm, eng.st.warm)
 	}
 	// The model cache is deliberately not serialized: a restored engine must
 	// start from a clean full refit.
-	if restored.st.cache != nil {
+	if restored.st.lcache != nil {
 		t.Fatal("restored engine has a surrogate cache")
 	}
 }

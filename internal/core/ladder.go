@@ -1,14 +1,16 @@
-// Fidelity-ladder proposals (K > 2 rungs): the generalized form of
+// Surrogate fitting and proposals over the fidelity ladder: the form of
 // Algorithm 1 where the low/high fidelity pair becomes an ordered ladder of
-// simulation accuracies. Per output the surrogate is the recursive K-level
-// NARGP chain (mfgp.MultiLevel); the §3.4 fidelity switch generalizes to a
-// cost-weighted rung selector that evaluates at the cheapest rung still
-// carrying useful information per unit cost, and falls through to the target
-// rung when every cheaper posterior is already resolved. K = 2 problems never
-// enter this file — they run the historical two-fidelity path bit for bit.
+// K ≥ 2 simulation accuracies. Per output the surrogate is the recursive
+// NARGP chain (mfgp.MultiLevel) — for the paper's K = 2 the two-fidelity
+// fusion model — and the §3.4 fidelity switch generalizes to a cost-weighted
+// rung selector that evaluates at the cheapest rung still carrying useful
+// information per unit cost, and falls through to the target rung when every
+// cheaper posterior is already resolved. With K = 2 every step reduces to the
+// paper's two-fidelity rule exactly.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -76,11 +78,12 @@ func chooseRung(vars, costs []float64, nc int, gamma float64) rungDecision {
 	return dec
 }
 
-// ladderCache is the K>2 analogue of surrCache: the fitted per-output chains
-// extended in place with per-level rank-1 updates between full refits.
+// ladderCache holds the fitted per-output chains served between full
+// refits (Config.Incremental), extended in place with per-level rank-1
+// updates, together with the dataset coordinates they cover so extensions
+// and retractions line up.
 type ladderCache struct {
-	chains  []*mfgp.MultiLevel
-	lowOnly []*gp.Model // per-output fallback when the chain degraded
+	chains []*mfgp.MultiLevel
 
 	lowStart int   // window start of the rung-0 training view at fit time
 	counts   []int // rows folded per rung (rung 0 window-relative)
@@ -90,88 +93,97 @@ type ladderCache struct {
 	baseLow, baseTop []float64
 }
 
-// fitLadder trains one recursive K-level chain per output, walking the
-// degradation ladder on failure: (1) refit with the previous chain's warm
-// hyperparameters frozen, (2) drop the output to a plain rung-0 surrogate,
-// (3) no usable surrogate at all — random exploration. chains[k] == nil with
-// lowOnly[k] != nil marks a low-only output.
-func (st *state) fitLadder(iter int, fullRefit bool, span *telemetry.Span) (chains []*mfgp.MultiLevel, lowOnly []*gp.Model, ok bool) {
+var errCacheUnusable = errors.New("core: surrogate cache unusable")
+
+func perPointNLML(m *gp.Model) float64 {
+	if n := m.TrainingSize(); n > 0 {
+		return m.NLML() / float64(n)
+	}
+	return 0
+}
+
+// fitLadder trains one recursive chain per output: level 0 with gp.Fit on
+// the (windowed) rung-0 data, then one fused level per higher rung through
+// mfgp's per-level step. Failures degrade level by level: (1) a failed level
+// is refit with its previous hyperparameters frozen; (2) a fused level that
+// still fails drops the output to the level-0 GP it already trained (a
+// one-level chain) for this iteration; (3) a level-0 failure leaves no
+// usable surrogate — the iteration explores randomly (ok=false).
+func (st *state) fitLadder(iter int, fullRefit bool, span *telemetry.Span) (chains []*mfgp.MultiLevel, ok bool) {
 	cfg := &st.cfg
 	target := st.ladder.Target()
 	lowX, lowView := st.low.window(cfg.MaxLowData)
-	levelsX := make([][][]float64, target+1)
-	levelsX[0] = lowX
-	for r := 1; r <= target; r++ {
-		levelsX[r] = st.ds(r).X
-	}
 	chains = make([]*mfgp.MultiLevel, st.nOut)
-	lowOnly = make([]*gp.Model, st.nOut)
 	for k := 0; k < st.nOut; k++ {
-		levelsY := make([][]float64, target+1)
-		levelsY[0] = lowView.column(k)
-		for r := 1; r <= target; r++ {
-			levelsY[r] = st.ds(r).column(k)
+		if st.warm[k] == nil {
+			st.warm[k] = make([][]float64, target+1)
 		}
-		mlCfg := mfgp.MultiLevelConfig{
-			Restarts: cfg.GPRestarts, MaxIter: cfg.GPMaxIter,
-			FixedNoise: cfg.FixedNoise, Propagation: cfg.Propagation,
-			NumSamples: cfg.NumSamples, Inducing: cfg.LowRankAfter,
-			Workers: cfg.Workers, Span: span,
-			WarmStarts:   st.warmChain[k],
-			SkipTraining: !fullRefit && st.warmChain[k] != nil,
-			// Between full refits only the sub-target levels freeze; the small
-			// target-level GP always retrains, as in the two-fidelity engine.
-			TrainTarget: true,
-		}
-		chain, err := mfgp.FitMultiLevel(levelsX, levelsY, mlCfg, st.rng)
-		if err != nil && st.warmChain[k] != nil && (!mlCfg.SkipTraining || mlCfg.TrainTarget) {
-			// Rung 1: freeze the previous chain's hyperparameters entirely.
-			mlCfg.SkipTraining = true
-			mlCfg.TrainTarget = false
-			var err2 error
-			chain, err2 = mfgp.FitMultiLevel(levelsX, levelsY, mlCfg, st.rng)
-			if err2 == nil {
-				st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("chain fit: %w", err))
-				err = nil
+		warm := st.warm[k]
+		levelCfg := func(r int, frozen bool) gp.Config {
+			return gp.Config{
+				Restarts:     cfg.GPRestarts,
+				MaxIter:      cfg.GPMaxIter,
+				FixedNoise:   cfg.FixedNoise,
+				WarmStart:    warm[r],
+				SkipTraining: frozen,
+				Inducing:     cfg.LowRankAfter,
+				Workers:      cfg.Workers,
+				Span:         span,
 			}
 		}
-		if err == nil {
-			st.warmChain[k] = chain.Hyper()
-			st.warmLow[k] = chain.Level(0).Hyper()
-			chains[k] = chain
-			st.noteFit(iter, chain.Level(0), false)
-			st.noteFit(iter, chain.Level(target), true)
-			continue
+		fitLow := func(frozen bool) (*gp.Model, error) {
+			c := levelCfg(0, frozen)
+			c.Kernel = kernel.NewSEARD(st.d)
+			return gp.Fit(lowX, lowView.column(k), c, st.rng)
 		}
-		// Rung 2: plain rung-0 surrogate for this output.
-		chainErr := err
-		lm, lerr := gp.Fit(lowX, levelsY[0], gp.Config{
-			Kernel:     kernel.NewSEARD(st.d),
-			Restarts:   cfg.GPRestarts,
-			MaxIter:    cfg.GPMaxIter,
-			FixedNoise: cfg.FixedNoise,
-			WarmStart:  st.warmLow[k],
-			Inducing:   cfg.LowRankAfter,
-			Workers:    cfg.Workers,
-			Span:       span,
-		}, st.rng)
-		if lerr != nil {
-			// Rung 3: nothing usable for this output.
-			st.degrade(iter, DegradeRandom, k, fmt.Errorf("chain fit: %v; low fit: %w", chainErr, lerr))
-			return nil, nil, false
+		lm, err := fitLow(!fullRefit && warm[0] != nil)
+		if err != nil && warm[0] != nil {
+			if frozen, err2 := fitLow(true); err2 == nil {
+				st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("low fit: %w", err))
+				lm, err = frozen, nil
+			}
 		}
-		st.degrade(iter, DegradeLowOnly, k, fmt.Errorf("chain fit: %w", chainErr))
-		st.warmLow[k] = lm.Hyper()
-		lowOnly[k] = lm
+		if err != nil {
+			st.degrade(iter, DegradeRandom, k, fmt.Errorf("low fit: %w", err))
+			return nil, false
+		}
+		warm[0] = lm.Hyper()
 		st.noteFit(iter, lm, false)
+
+		chain := mfgp.NewMultiLevel(lm, cfg.Propagation, cfg.NumSamples)
+		for r := 1; r <= target; r++ {
+			ds := st.ds(r)
+			fitLevel := func(frozen bool) error {
+				return chain.FitLevel(ds.X, ds.column(k), levelCfg(r, frozen), st.rng)
+			}
+			// Between full refits only the sub-target levels freeze; the
+			// small target-level GP always retrains.
+			err := fitLevel(!fullRefit && warm[r] != nil && r < target)
+			if err != nil && warm[r] != nil {
+				if err2 := fitLevel(true); err2 == nil {
+					st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("fusion fit: %w", err))
+					err = nil
+				}
+			}
+			if err != nil {
+				st.degrade(iter, DegradeLowOnly, k, fmt.Errorf("fusion fit: %w", err))
+				chain = mfgp.NewMultiLevel(lm, cfg.Propagation, cfg.NumSamples)
+				break
+			}
+			warm[r] = chain.Level(r).Hyper()
+		}
+		if chain.Levels() > target {
+			st.noteFit(iter, chain.Level(target), true)
+		}
+		chains[k] = chain
 	}
-	return chains, lowOnly, true
+	return chains, true
 }
 
-// incrementalLadder is the K>2 analogue of incrementalSurrogates: serve the
-// proposal from the cached chains extended with per-level rank-1 updates when
-// the schedule allows, otherwise refit and rebuild the cache.
-func (st *state) incrementalLadder(iter int, span *telemetry.Span) (chains []*mfgp.MultiLevel, lowOnly []*gp.Model, ok, skipped bool) {
+// incrementalLadder serves one proposal's chains: extend the cache with
+// per-level rank-1 updates when the schedule allows, otherwise refit and
+// rebuild the cache. skipped reports which path ran.
+func (st *state) incrementalLadder(iter int, span *telemetry.Span) (chains []*mfgp.MultiLevel, ok, skipped bool) {
 	cfg := &st.cfg
 	lowX, _ := st.low.window(cfg.MaxLowData)
 	start := len(st.low.X) - len(lowX)
@@ -181,20 +193,20 @@ func (st *state) incrementalLadder(iter int, span *telemetry.Span) (chains []*mf
 			if st.met != nil {
 				st.met.fitSkipped.Add(1)
 			}
-			return c.chains, c.lowOnly, true, true
+			return c.chains, true, true
 		}
-		st.lcache = nil
+		// A failed extension (e.g. an indefinite downdate residue) poisons
+		// the cache; fall through to a full refit.
 	}
 	st.lcache = nil
 	st.sinceRefit = 0
-	chains, lowOnly, ok = st.fitLadder(iter, true, span)
+	chains, ok = st.fitLadder(iter, true, span)
 	if !ok {
-		return nil, nil, false, false
+		return nil, false, false
 	}
 	target := st.ladder.Target()
 	c := &ladderCache{
 		chains:   chains,
-		lowOnly:  lowOnly,
 		lowStart: start,
 		counts:   make([]int, target+1),
 		baseLow:  make([]float64, st.nOut),
@@ -204,37 +216,31 @@ func (st *state) incrementalLadder(iter int, span *telemetry.Span) (chains []*mf
 	for r := 1; r <= target; r++ {
 		c.counts[r] = len(st.ds(r).X)
 	}
-	for k := 0; k < st.nOut; k++ {
-		if chains[k] != nil {
-			c.baseLow[k] = perPointNLML(chains[k].Level(0))
-			c.baseTop[k] = perPointNLML(chains[k].Level(target))
-		} else {
-			c.baseLow[k] = perPointNLML(lowOnly[k])
+	for k, chain := range chains {
+		c.baseLow[k] = perPointNLML(chain.Level(0))
+		if chain.Levels() > target {
+			c.baseTop[k] = perPointNLML(chain.Level(target))
 		}
 	}
 	st.lcache = c
-	return chains, lowOnly, true, false
+	return chains, true, false
 }
 
-// ladderNLMLDegraded mirrors nlmlDegraded for the chain cache: drift past
-// NLMLTrigger at either end of any output's chain forces an early refit.
+// ladderNLMLDegraded reports whether any cached chain's per-point NLML has
+// drifted more than NLMLTrigger nats above its last-full-refit baseline at
+// either end — the early warning that frozen hyperparameters no longer
+// explain the data.
 func (st *state) ladderNLMLDegraded(c *ladderCache) bool {
 	trig := st.cfg.NLMLTrigger
 	if trig < 0 {
 		return false
 	}
 	target := st.ladder.Target()
-	for k := 0; k < st.nOut; k++ {
-		if c.chains[k] == nil {
-			if perPointNLML(c.lowOnly[k]) > c.baseLow[k]+trig {
-				return true
-			}
-			continue
-		}
-		if perPointNLML(c.chains[k].Level(0)) > c.baseLow[k]+trig {
+	for k, chain := range c.chains {
+		if perPointNLML(chain.Level(0)) > c.baseLow[k]+trig {
 			return true
 		}
-		if perPointNLML(c.chains[k].Level(target)) > c.baseTop[k]+trig {
+		if chain.Levels() > target && perPointNLML(chain.Level(target)) > c.baseTop[k]+trig {
 			return true
 		}
 	}
@@ -242,23 +248,30 @@ func (st *state) ladderNLMLDegraded(c *ladderCache) bool {
 }
 
 // extendLadderCache folds every rung's unseen rows — real observations and
-// fantasy rows alike — into the cached chains with per-level rank-1 updates,
-// cheapest rung first so lower-level updates inform the frozen augmentations
-// of subsequent higher-level rows. A degraded (low-only) output makes the
-// cache unusable: its chain cannot absorb new rows above rung 0.
+// fantasy rows alike — into the cached chains with per-level rank-1 updates
+// (O(n²) per row), cheapest rung first so lower-level updates inform the
+// frozen augmentations of subsequent higher-level rows. Chains whose rungs
+// received no new data are left untouched. A row at a rung some output's
+// degraded chain lacks makes the cache unusable. On error the caller must
+// discard the cache: some chains may already hold the new rows.
 func (st *state) extendLadderCache(c *ladderCache) error {
 	cfg := &st.cfg
 	target := st.ladder.Target()
-	for k := 0; k < st.nOut; k++ {
-		if c.chains[k] == nil {
-			return errCacheUnusable
+	lowX, lowView := st.low.window(cfg.MaxLowData)
+	for r := 1; r <= target; r++ {
+		if c.counts[r] == len(st.ds(r).X) {
+			continue
+		}
+		for _, chain := range c.chains {
+			if chain.Levels() <= r {
+				return errCacheUnusable
+			}
 		}
 	}
 	updates := 0
-	lowX, lowView := st.low.window(cfg.MaxLowData)
 	for i := c.counts[0]; i < len(lowX); i++ {
-		for k := 0; k < st.nOut; k++ {
-			if err := c.chains[k].AppendLevel(0, lowX[i], lowView.Y[i][k]); err != nil {
+		for k, chain := range c.chains {
+			if err := chain.AppendLevel(0, lowX[i], lowView.Y[i][k]); err != nil {
 				return err
 			}
 			updates++
@@ -268,8 +281,8 @@ func (st *state) extendLadderCache(c *ladderCache) error {
 	for r := 1; r <= target; r++ {
 		ds := st.ds(r)
 		for i := c.counts[r]; i < len(ds.X); i++ {
-			for k := 0; k < st.nOut; k++ {
-				if err := c.chains[k].AppendLevel(r, ds.X[i], ds.Y[i][k]); err != nil {
+			for k, chain := range c.chains {
+				if err := chain.AppendLevel(r, ds.X[i], ds.Y[i][k]); err != nil {
 					return err
 				}
 				updates++
@@ -289,8 +302,9 @@ func (st *state) extendLadderCache(c *ladderCache) error {
 }
 
 // retractLadderCache truncates the cached chains back to the committed
-// per-rung dataset sizes after a batch proposal retracted its fantasy rows.
-// Any mismatch poisons the cache so the next proposal refits.
+// per-rung dataset sizes (datasetSizes) after a batch proposal retracted its
+// fantasy rows. Any mismatch the truncation cannot reconcile poisons the
+// cache so the next proposal refits.
 func (st *state) retractLadderCache(sizes []int) {
 	c := st.lcache
 	if c == nil {
@@ -312,11 +326,11 @@ func (st *state) retractLadderCache(sizes []int) {
 		if n >= c.counts[r] {
 			return true
 		}
-		for k := 0; k < st.nOut; k++ {
-			if c.chains[k] == nil {
+		for _, chain := range c.chains {
+			if chain.Levels() <= r {
 				continue
 			}
-			if err := c.chains[k].TruncateLevel(r, n); err != nil {
+			if err := chain.TruncateLevel(r, n); err != nil {
 				return false
 			}
 		}
@@ -335,37 +349,29 @@ func (st *state) retractLadderCache(sizes []int) {
 	}
 }
 
-// retract restores every surrogate cache to the committed (fantasy-free)
-// dataset sizes; sizes is rung-ordered (datasetSizes). Dispatches to the
-// two-fidelity cache, the ladder cache, or neither — whichever is live.
-func (st *state) retract(sizes []int) {
-	st.retractCache(sizes[0], sizes[len(sizes)-1])
-	st.retractLadderCache(sizes)
+// topLevel clamps rung r to the highest level chain carries: a degraded
+// (low-only) chain answers every rung with its level-0 posterior.
+func topLevel(chain *mfgp.MultiLevel, r int) int {
+	return min(r, chain.Levels()-1)
 }
 
 // chooseEvalRung computes the per-rung standardized chain variances at xt and
 // applies the generalized §3.4 rule. Degraded (low-only) outputs contribute
-// their rung-0 variance only — with no chain there is no evidence that a
-// higher intermediate rung needs data for them.
-func (st *state) chooseEvalRung(chains []*mfgp.MultiLevel, lowOnly []*gp.Model, xt []float64) rungDecision {
+// their rung-0 variance only — with no fused levels there is no evidence that
+// a higher intermediate rung needs data for them.
+func (st *state) chooseEvalRung(chains []*mfgp.MultiLevel, xt []float64) rungDecision {
 	target := st.ladder.Target()
 	if st.cfg.ForceHighFidelity {
 		return rungDecision{rung: target, forced: true}
 	}
 	vars := make([]float64, target)
 	for r := 0; r < target; r++ {
-		for k := 0; k < st.nOut; k++ {
-			var va, std float64
-			switch {
-			case chains[k] != nil:
-				_, va = chains[k].PredictLevel(xt, r)
-				std = chains[k].Level(r).OutputStd()
-			case r == 0:
-				_, va = lowOnly[k].PredictLatent(xt)
-				std = lowOnly[k].OutputStd()
-			default:
+		for _, chain := range chains {
+			if chain.Levels() <= r {
 				continue
 			}
+			_, va := chain.PredictLevel(xt, r)
+			std := chain.Level(r).OutputStd()
 			if v := va / (std * std); v > vars[r] {
 				vars[r] = v
 			}
@@ -390,18 +396,18 @@ func (st *state) isDuplicateAtRung(xt []float64, r int) bool {
 	return false
 }
 
-// fantasizeLadder produces the synthetic per-output observation for a pending
-// ladder suggestion at rung r: the chain posterior mean at that rung
-// (kriging-believer) or the per-output worst value observed at the rung
-// (constant-liar, falling back to the believer mean on an empty rung).
-func (st *state) fantasizeLadder(chains []*mfgp.MultiLevel, lowOnly []*gp.Model, xt []float64, r int) []float64 {
+// fantasizeLadder produces the synthetic per-output observation batch
+// acquisition substitutes for a pending suggestion at rung r while its real
+// outcome is outstanding (Config.Fantasy). Kriging-believer returns the chain
+// posterior mean at that rung — the model the next slot will train against
+// (a low-only output answers with its level-0 posterior). Constant-liar
+// returns, per output, the worst (maximum) value observed so far at the rung
+// — the pessimistic lie under minimization — falling back to the believer
+// mean on an empty rung.
+func (st *state) fantasizeLadder(chains []*mfgp.MultiLevel, xt []float64, r int) []float64 {
 	out := make([]float64, st.nOut)
 	believe := func(k int) float64 {
-		if chains[k] != nil {
-			mu, _ := chains[k].PredictLevel(xt, r)
-			return mu
-		}
-		mu, _ := lowOnly[k].PredictLatent(xt)
+		mu, _ := chains[k].PredictLevel(xt, topLevel(chains[k], r))
 		return mu
 	}
 	switch st.cfg.Fantasy {
@@ -428,12 +434,18 @@ func (st *state) fantasizeLadder(chains []*mfgp.MultiLevel, lowOnly []*gp.Model,
 	return out
 }
 
-// proposeLadder is the K>2 body of one generalized Algorithm 1 iteration:
-// fit the per-output K-level chains (walking the degradation ladder on
-// failure), maximize the rung-0 and target-rung acquisitions with the §4.1
-// multiple-starting-point strategy, and pick the evaluation rung by the
-// cost-weighted generalization of the §3.4 criterion.
-func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool) ([]float64, problem.Fidelity, []float64) {
+// propose computes the next adaptive query — the body of one Algorithm 1
+// iteration up to (but excluding) the simulation itself: fit the per-output
+// chains (walking the degradation ladder on failure), maximize the rung-0
+// and target-rung acquisitions with the §4.1 multiple-starting-point
+// strategy, and pick the evaluation rung by the §3.4 criterion.
+//
+// iter labels the slot being proposed (it may run ahead of st.iter while a
+// batch is outstanding). When wantFantasy is set the third return value
+// carries the synthetic outputs (per Config.Fantasy) that stand in for the
+// point's observation while later batch slots are proposed; it is nil for a
+// random-exploration fallback, where no surrogate exists to fantasize from.
+func (st *state) propose(iter int, span *telemetry.Span, wantFantasy bool) ([]float64, problem.Fidelity, []float64) {
 	cfg := &st.cfg
 	target := st.ladder.Target()
 	var ev *telemetry.IterationEvent
@@ -446,27 +458,21 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		tFit = time.Now()
 	}
 	var chains []*mfgp.MultiLevel
-	var lowOnly []*gp.Model
 	var ok bool
 	if cfg.Incremental {
 		var skipped bool
-		chains, lowOnly, ok, skipped = st.incrementalLadder(iter, span)
+		chains, ok, skipped = st.incrementalLadder(iter, span)
 		if ev != nil {
 			ev.FitSkipped = skipped
 			ev.SinceRefit = st.sinceRefit
 		}
 	} else {
 		fullRefit := iter%cfg.RefitEvery == 0
-		chains, lowOnly, ok = st.fitLadder(iter, fullRefit, span)
+		chains, ok = st.fitLadder(iter, fullRefit, span)
 	}
 	if ev != nil {
-		if ok {
-			for k := 0; k < st.nOut; k++ {
-				if chains[k] != nil && chains[k].Level(0).IsLowRank() {
-					ev.LowRank = true
-					break
-				}
-			}
+		if ok && chains[0].Level(0).IsLowRank() {
+			ev.LowRank = true
 		}
 		d := time.Since(tFit)
 		ev.FitMs = float64(d.Nanoseconds()) / 1e6
@@ -475,21 +481,21 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		}
 	}
 	if !ok {
+		// Random exploration keeps the budget moving while the training
+		// sets recover (e.g. after a burst of failed evaluations).
 		xt := stats.UniformInBox(st.rng, st.lo, st.hi, 1)[0]
 		rung := 0
 		if cfg.ForceHighFidelity {
 			rung = target
 		}
 		if ev != nil {
-			ev.Fidelity = st.ladder.Name(rung)
-			ev.Rung = rung
+			st.noteRung(ev, rung, nil)
 			ev.ForcedHigh = cfg.ForceHighFidelity
 		}
 		return xt, problem.Fidelity(rung), nil
 	}
 
-	// Incumbents: the cheapest and the target rung seed the §4.1 starts, as
-	// in the two-fidelity algorithm.
+	// Incumbents: the cheapest and the target rung seed the §4.1 starts.
 	tauLowX, tauLowEval, hasLowFeasible := bestOf(st.low)
 	tauHighX, tauHighEval, hasHighFeasible := bestOf(st.high)
 	if ev != nil {
@@ -504,16 +510,12 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 	}
 
 	// Posterior adapters: rung-0 chain level for the cheap acquisition, the
-	// fused target level for the expensive one. A nil chain (low-only
-	// degradation) aliases the plain rung-0 surrogate for both.
+	// fused target level for the expensive one. A low-only chain answers
+	// both with its level-0 posterior.
 	nc := st.nc
 	levelPost := func(k, level int) acq.Posterior {
-		if chains[k] != nil {
-			m := chains[k]
-			return func(x []float64) (float64, float64) { return m.PredictLevel(x, level) }
-		}
-		m := lowOnly[k]
-		return func(x []float64) (float64, float64) { return m.PredictLatent(x) }
+		m, l := chains[k], topLevel(chains[k], level)
+		return func(x []float64) (float64, float64) { return m.PredictLevel(x, l) }
 	}
 	lowObj := levelPost(0, 0)
 	lowCons := make([]acq.Posterior, nc)
@@ -594,18 +596,19 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		ev.MSPDivergedHigh = mspHigh.Diverged
 	}
 
-	dec := st.chooseEvalRung(chains, lowOnly, xt)
+	// Degenerate-query guard: re-sampling an existing point adds no
+	// information; fall back to a random exploration point.
+	dec := st.chooseEvalRung(chains, xt)
 	if st.isDuplicateAtRung(xt, dec.rung) {
 		xt = stats.UniformInBox(st.rng, st.lo, st.hi, 1)[0]
-		dec = st.chooseEvalRung(chains, lowOnly, xt)
+		dec = st.chooseEvalRung(chains, xt)
 		if ev != nil {
 			ev.DuplicateFallback = true
 		}
 	}
 	if ev != nil {
-		ev.Fidelity = st.ladder.Name(dec.rung)
-		ev.Rung = dec.rung
-		ev.RungVars = dec.vars
+		// §3.4 decision record: the final comparison that chose the rung.
+		st.noteRung(ev, dec.rung, dec.vars)
 		ev.Sigma2Max = dec.sigma2Max
 		ev.Threshold = dec.threshold
 		ev.HasSigma2 = dec.hasSigma2
@@ -613,7 +616,7 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 	}
 	var fantasy []float64
 	if wantFantasy {
-		fantasy = st.fantasizeLadder(chains, lowOnly, xt, dec.rung)
+		fantasy = st.fantasizeLadder(chains, xt, dec.rung)
 	}
 	return xt, problem.Fidelity(dec.rung), fantasy
 }

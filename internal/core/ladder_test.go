@@ -8,61 +8,30 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gp"
-	"repro/internal/kernel"
+	"repro/internal/fidelity"
 	"repro/internal/problem"
-	"repro/internal/stats"
 	"repro/internal/testfunc"
 )
 
-// TestChooseRungMatchesSelectFidelity pins the K=2 degradation of the
-// generalized rung selector: fed the same standardized low-fidelity variance,
-// chooseRung and the paper's selectFidelity must make bit-identical decisions
-// — same rung, same σ²_max, same threshold — for every nc and γ.
-func TestChooseRungMatchesSelectFidelity(t *testing.T) {
+// TestChooseRungDecisions pins the generalized §3.4 rung selector. At K=2 it
+// must be exactly the paper's rule — target rung iff σ²_max < (1+Nc)·γ, with
+// the same σ²_max and threshold in the decision record — for every nc and γ;
+// on longer ladders it picks the under-resolved rung with the best variance
+// per unit cost, ties to the cheaper rung.
+func TestChooseRungDecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n, d := 20, 2
-	X := stats.UniformInBox(rng, []float64{0, 0}, []float64{1, 1}, n)
-	mkGP := func(f func([]float64) float64) *gp.Model {
-		y := make([]float64, n)
-		for i, x := range X {
-			y[i] = f(x)
-		}
-		m, err := gp.Fit(X, y, gp.Config{Kernel: kernel.NewSEARD(d), Restarts: 1, MaxIter: 40}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	lowGPs := []*gp.Model{
-		mkGP(func(x []float64) float64 { return math.Sin(7*x[0]) + x[1] }),
-		mkGP(func(x []float64) float64 { return x[0]*x[0] - math.Cos(5*x[1]) }),
-	}
 	for _, gamma := range []float64{0.01, 0.05, 0.5} {
 		for nc := 0; nc <= 2; nc++ {
-			cfg := Config{Gamma: gamma}
+			threshold := (1 + float64(nc)) * gamma
 			for trial := 0; trial < 200; trial++ {
-				x := stats.UniformInBox(rng, []float64{0, 0}, []float64{1, 1}, 1)[0]
-				legacy := cfg.selectFidelity(lowGPs, x, nc)
-				// The same standardized variance chooseEvalRung would compute.
-				maxVar := 0.0
-				for _, m := range lowGPs {
-					_, va := m.PredictLatent(x)
-					std := m.OutputStd()
-					if v := va / (std * std); v > maxVar {
-						maxVar = v
-					}
+				sigma2 := math.Exp(rng.NormFloat64()*2 - 3)
+				dec := chooseRung([]float64{sigma2}, []float64{0.1, 1}, nc, gamma)
+				if (dec.rung == 1) != (sigma2 < threshold) {
+					t.Fatalf("γ=%v nc=%d σ²=%v: chose rung %d", gamma, nc, sigma2, dec.rung)
 				}
-				dec := chooseRung([]float64{maxVar}, []float64{0.1, 1}, nc, gamma)
-				wantHigh := legacy.fid == problem.High
-				if (dec.rung == 1) != wantHigh {
-					t.Fatalf("γ=%v nc=%d σ²=%v: chooseRung picked rung %d, selectFidelity %v",
-						gamma, nc, maxVar, dec.rung, legacy.fid)
-				}
-				if math.Float64bits(dec.sigma2Max) != math.Float64bits(legacy.sigma2Max) ||
-					math.Float64bits(dec.threshold) != math.Float64bits(legacy.threshold) {
-					t.Fatalf("decision record differs: (%v, %v) vs (%v, %v)",
-						dec.sigma2Max, dec.threshold, legacy.sigma2Max, legacy.threshold)
+				if math.Float64bits(dec.sigma2Max) != math.Float64bits(sigma2) ||
+					math.Float64bits(dec.threshold) != math.Float64bits(threshold) {
+					t.Fatalf("decision record (%v, %v), want (%v, %v)", dec.sigma2Max, dec.threshold, sigma2, threshold)
 				}
 				if !dec.hasSigma2 || dec.forced {
 					t.Fatal("unforced selection must record σ²")
@@ -70,92 +39,34 @@ func TestChooseRungMatchesSelectFidelity(t *testing.T) {
 			}
 		}
 	}
-	// ForceHighFidelity short-circuits identically on both selectors.
-	cfg := Config{Gamma: 0.01, ForceHighFidelity: true}
-	legacy := cfg.selectFidelity(lowGPs, X[0], 1)
-	if legacy.fid != problem.High || !legacy.forced {
-		t.Fatal("selectFidelity must force high")
-	}
-}
-
-// ingestShared feeds one evaluation into several states identically.
-func ingestShared(iter int, x []float64, fid problem.Fidelity, e problem.Evaluation, sts ...*state) {
-	for _, st := range sts {
-		st.ingest(iter, append([]float64(nil), x...), fid, e)
-	}
-}
-
-// TestProposeLadderMatchesProposeAtK2 is the engine-level oracle for the
-// ladder generalization: on a two-fidelity problem, the K-level proposal path
-// (fitLadder → chooseEvalRung → fantasizeLadder) must reproduce the legacy
-// two-fidelity proposal path bit for bit — same rng consumption, same query
-// point, same fidelity decision, same fantasy — across full refits, the
-// fit-skipping warm schedule, and the incremental rank-1 maintenance path.
-func TestProposeLadderMatchesProposeAtK2(t *testing.T) {
 	cases := []struct {
-		name string
-		mod  func(*Config)
+		name  string
+		vars  []float64
+		costs []float64
+		want  int
 	}{
-		{"full-refit", nil},
-		{"warm-skip", func(c *Config) { c.RefitEvery = 2 }},
-		{"incremental", func(c *Config) { c.Incremental = true; c.RefitEvery = 3 }},
-	}
-	probs := []func() problem.Problem{
-		func() problem.Problem { return testfunc.Forrester() },
-		func() problem.Problem { return testfunc.ConstrainedSynthetic() },
+		{"K=2 resolved", []float64{0.005}, []float64{0.1, 1}, 1},
+		{"K=2 at threshold", []float64{0.01}, []float64{0.1, 1}, 0},
+		{"K=3 all resolved", []float64{0.001, 0.009}, []float64{0.1, 0.25, 1}, 2},
+		{"K=3 cheap rung best per cost", []float64{0.05, 0.1}, []float64{0.1, 0.25, 1}, 0},
+		{"K=3 mid rung best per cost", []float64{0.02, 0.2}, []float64{0.1, 0.25, 1}, 1},
+		{"K=3 only mid unresolved", []float64{0.001, 0.02}, []float64{0.1, 0.25, 1}, 1},
+		{"K=3 tie to cheaper", []float64{0.1, 0.25}, []float64{0.1, 0.25, 1}, 0},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, mk := range probs {
-				p := mk()
-				mkState := func() *state {
-					cfg := fastCfg(100)
-					cfg.NumSamples = 20
-					if tc.mod != nil {
-						tc.mod(&cfg)
-					}
-					if err := cfg.defaults(); err != nil {
-						t.Fatal(err)
-					}
-					st, err := newState(p, cfg, rand.New(rand.NewSource(17)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return st
-				}
-				stA, stB := mkState(), mkState()
-				if stA.ladder.Rungs() != 2 {
-					t.Fatalf("problem %q is not two-fidelity", p.Name())
-				}
-
-				// Identical initialization data in both states.
-				initRng := rand.New(rand.NewSource(99))
-				lo, hi := p.Bounds()
-				for _, x := range stats.LatinHypercube(initRng, lo, hi, 8) {
-					ingestShared(-1, x, problem.Low, p.Evaluate(x, problem.Low), stA, stB)
-				}
-				for _, x := range stats.LatinHypercube(initRng, lo, hi, 4) {
-					ingestShared(-1, x, problem.High, p.Evaluate(x, problem.High), stA, stB)
-				}
-
-				for iter := 0; iter < 5; iter++ {
-					xA, fidA, fanA := stA.propose(iter, nil, true)
-					xB, fidB, fanB := stB.proposeLadder(iter, nil, true)
-					if fidA != fidB {
-						t.Fatalf("%s iter %d: fidelity %v vs %v", p.Name(), iter, fidA, fidB)
-					}
-					for j := range xA {
-						if math.Float64bits(xA[j]) != math.Float64bits(xB[j]) {
-							t.Fatalf("%s iter %d: x[%d] %v vs %v", p.Name(), iter, j, xA[j], xB[j])
-						}
-					}
-					if !reflect.DeepEqual(fanA, fanB) {
-						t.Fatalf("%s iter %d: fantasy %v vs %v", p.Name(), iter, fanA, fanB)
-					}
-					ingestShared(iter, xA, fidA, p.Evaluate(xA, fidA), stA, stB)
-				}
-			}
-		})
+		if dec := chooseRung(tc.vars, tc.costs, 0, 0.01); dec.rung != tc.want {
+			t.Errorf("%s: chose rung %d, want %d", tc.name, dec.rung, tc.want)
+		}
+	}
+	// ForceHighFidelity short-circuits to the target rung without a variance
+	// comparison.
+	ladder, err := fidelity.TwoLevel(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &state{cfg: Config{Gamma: 0.01, ForceHighFidelity: true}, ladder: ladder}
+	if dec := st.chooseEvalRung(nil, []float64{0.5}); dec.rung != 1 || !dec.forced || dec.hasSigma2 {
+		t.Fatalf("forced decision %+v, want the target rung", dec)
 	}
 }
 

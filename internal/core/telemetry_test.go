@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -237,6 +238,66 @@ func TestTelemetryEventStream(t *testing.T) {
 	table := telemetry.Summarize(events).Table()
 	if !strings.Contains(table, "sigma2_max") || !strings.Contains(table, "adaptive") {
 		t.Fatalf("summary table:\n%s", table)
+	}
+
+	// The per-rung decision record belongs to K>2 ladders only: two-fidelity
+	// events carry neither "rung" nor "rung_vars".
+	for i, ev := range iters {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(b), `"rung"`) || strings.Contains(string(b), `"rung_vars"`) {
+			t.Fatalf("K=2 event %d carries ladder fields: %s", i, b)
+		}
+	}
+	checkLadderEventFields(t)
+}
+
+// checkLadderEventFields runs a three-rung problem and checks every adaptive
+// iteration event carries the per-rung decision record: rung_vars with one
+// variance per sub-target rung, and the selected rung (which JSON omits only
+// when it is rung 0).
+func checkLadderEventFields(t *testing.T) {
+	t.Helper()
+	ring := telemetry.NewRing(1024)
+	cfg := ladderCfg(10)
+	cfg.Telemetry = telemetry.NewRecorder(ring, 1)
+	res, err := Optimize(testfunc.Forrester3(), cfg, rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var iters []*telemetry.IterationEvent
+	for _, ev := range ring.Snapshot() {
+		if ev.Iteration != nil {
+			iters = append(iters, ev.Iteration)
+		}
+	}
+	if len(iters) != len(res.History) {
+		t.Fatalf("%d iteration events for %d observations", len(iters), len(res.History))
+	}
+	nRung := 0
+	for i, ev := range iters {
+		if ev.Iter < 0 || !ev.HasSigma2 {
+			continue
+		}
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := string(b)
+		if len(ev.RungVars) != 2 || !strings.Contains(js, `"rung_vars"`) {
+			t.Fatalf("K=3 event %d lacks rung_vars: %s", i, js)
+		}
+		if ev.Rung != int(res.History[i].Fid) || strings.Contains(js, `"rung"`) != (ev.Rung > 0) {
+			t.Fatalf("K=3 event %d rung %d vs observation rung %d: %s", i, ev.Rung, res.History[i].Fid, js)
+		}
+		if ev.Rung > 0 {
+			nRung++
+		}
+	}
+	if nRung == 0 {
+		t.Fatal("no K=3 adaptive event selected a rung above 0")
 	}
 }
 

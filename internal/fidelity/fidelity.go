@@ -128,7 +128,7 @@ func OfProblem(p problem.Problem) (Ladder, error) {
 }
 
 // TwoFidelityView restricts a K-rung problem to its bottom and top rungs so
-// the ladder and the classic two-fidelity engine can be compared on the same
+// the ladder and the paper's two-fidelity algorithm can be compared on the same
 // simulator. Evaluations at problem.Low map to rung 0 and everything else to
 // the target rung; Cost follows the same mapping.
 type TwoFidelityView struct {

@@ -61,7 +61,7 @@ func TestAR1RecoversLinearRelation(t *testing.T) {
 func TestNARGPBeatsAR1OnNonlinearMap(t *testing.T) {
 	Xl, yl, Xh, yh := pedagogicalData()
 	rngA := rand.New(rand.NewSource(3))
-	nargp, err := Fit(Xl, yl, Xh, yh, Config{
+	nargp, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
 		Restarts: 3, FixedNoise: fixedNoise(1e-6), Propagation: MonteCarlo, NumSamples: 40,
 	}, rngA)
 	if err != nil {
@@ -120,8 +120,8 @@ func TestMultiLevelValidation(t *testing.T) {
 }
 
 func TestMultiLevelTwoLevelsMatchesPairModel(t *testing.T) {
-	// Sanity: the 2-level recursive model should reach similar accuracy to
-	// the dedicated two-fidelity model on the pedagogical pair.
+	// The two-level chain is the paper's two-fidelity pair model: on the
+	// pedagogical pair it must recover the high-fidelity function closely.
 	Xl, yl, Xh, yh := pedagogicalData()
 	rng := rand.New(rand.NewSource(6))
 	m, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{

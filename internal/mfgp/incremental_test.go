@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestAppendHighTruncateRoundTrip proves the fused model's fantasy cycle is
-// exact: appending high-fidelity observations and truncating back leaves
+// TestAppendHighTruncateRoundTrip proves the two-level chain's fantasy cycle
+// is exact: appending target-level observations and truncating back leaves
 // fused predictions bit-identical.
 func TestAppendHighTruncateRoundTrip(t *testing.T) {
 	m := fitPedagogical(t, GaussHermite, 3)
-	n0 := m.HighSize()
+	n0 := m.LevelSize(1)
 	probes := [][]float64{{0.11}, {0.42}, {0.87}}
 	muBefore := make([]float64, len(probes))
 	vaBefore := make([]float64, len(probes))
@@ -18,12 +18,12 @@ func TestAppendHighTruncateRoundTrip(t *testing.T) {
 		muBefore[i], vaBefore[i] = m.Predict(p)
 	}
 	for _, x := range []float64{0.21, 0.63} {
-		if err := m.AppendHigh([]float64{x}, pedagogicalHigh(x)); err != nil {
+		if err := m.AppendLevel(1, []float64{x}, pedagogicalHigh(x)); err != nil {
 			t.Fatalf("append high: %v", err)
 		}
 	}
-	if m.HighSize() != n0+2 {
-		t.Fatalf("high size %d, want %d", m.HighSize(), n0+2)
+	if m.LevelSize(1) != n0+2 {
+		t.Fatalf("high size %d, want %d", m.LevelSize(1), n0+2)
 	}
 	// The appended points must actually influence the posterior.
 	changed := false
@@ -36,7 +36,7 @@ func TestAppendHighTruncateRoundTrip(t *testing.T) {
 	if !changed {
 		t.Fatal("appended observations left every prediction unchanged")
 	}
-	if err := m.TruncateHigh(n0); err != nil {
+	if err := m.TruncateLevel(1, n0); err != nil {
 		t.Fatalf("truncate high: %v", err)
 	}
 	for i, p := range probes {
@@ -54,14 +54,14 @@ func TestAppendHighTracksInterpolation(t *testing.T) {
 	m := fitPedagogical(t, GaussHermite, 5)
 	x := []float64{0.33}
 	y := pedagogicalHigh(0.33)
-	if err := m.AppendHigh(x, y); err != nil {
+	if err := m.AppendLevel(1, x, y); err != nil {
 		t.Fatal(err)
 	}
 	mu, _ := m.Predict(x)
 	if math.Abs(mu-y) > 0.05 {
 		t.Fatalf("prediction %v far from appended observation %v", mu, y)
 	}
-	if err := m.AppendHigh([]float64{0.5, 0.5}, 0); err == nil {
+	if err := m.AppendLevel(1, []float64{0.5, 0.5}, 0); err == nil {
 		t.Fatal("expected dimension mismatch error")
 	}
 }

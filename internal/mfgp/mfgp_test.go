@@ -33,11 +33,13 @@ func pedagogicalData() (Xl [][]float64, yl []float64, Xh [][]float64, yh []float
 
 func fixedNoise(v float64) *float64 { return &v }
 
-func fitPedagogical(t *testing.T, prop Propagation, seed int64) *Model {
+// fitPedagogical fits the two-level chain — the paper's two-fidelity model —
+// on the pedagogical pair.
+func fitPedagogical(t *testing.T, prop Propagation, seed int64) *MultiLevel {
 	t.Helper()
 	Xl, yl, Xh, yh := pedagogicalData()
 	rng := rand.New(rand.NewSource(seed))
-	m, err := Fit(Xl, yl, Xh, yh, Config{
+	m, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
 		Restarts:    3,
 		FixedNoise:  fixedNoise(1e-6),
 		Propagation: prop,
@@ -49,18 +51,52 @@ func fitPedagogical(t *testing.T, prop Propagation, seed int64) *Model {
 	return m
 }
 
+// TestFitValidation covers the two-level error paths: empty levels, a
+// fused-level design of the wrong width (any row, not just the first), an
+// unknown propagation mode — and a failed FitLevel leaves the chain intact.
 func TestFitValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Fit(nil, nil, nil, nil, Config{}, rng); err == nil {
+	two := func(Xl, Xh [][]float64) error {
+		_, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{make([]float64, len(Xl)), make([]float64, len(Xh))},
+			MultiLevelConfig{}, rng)
+		return err
+	}
+	if err := two(nil, nil); err == nil {
 		t.Fatal("expected error on empty data")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1}, [][]float64{{1, 2}}, []float64{1}, Config{}, rng); err == nil {
+	if err := two([][]float64{{1}}, [][]float64{{1, 2}}); err == nil {
 		t.Fatal("expected error on dim mismatch")
+	}
+	if _, err := FitMultiLevel([][][]float64{{{1}}, {{1}}}, [][]float64{{1}, {1}},
+		MultiLevelConfig{Propagation: Propagation(9)}, rng); err == nil {
+		t.Fatal("expected error on unknown propagation")
+	}
+	Xl, yl, _, _ := pedagogicalData()
+	base, err := gp.Fit(Xl, yl, gp.Config{Kernel: kernel.NewSEARD(1), MaxIter: 10}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewMultiLevel accepted an unknown propagation")
+			}
+		}()
+		NewMultiLevel(base, Propagation(9), 0)
+	}()
+	m := NewMultiLevel(base, MonteCarlo, 0)
+	for _, Xh := range [][][]float64{nil, {{0.5}, {0.2, 0.3}}} {
+		if err := m.FitLevel(Xh, make([]float64, len(Xh)), gp.Config{}, rng); err == nil {
+			t.Fatalf("FitLevel(%v): expected error", Xh)
+		}
+	}
+	if m.Levels() != 1 {
+		t.Fatalf("failed FitLevel left %d levels, want 1", m.Levels())
 	}
 }
 
-// The headline property the paper's Figure 1 demonstrates: with 21 cheap and
-// only 5 expensive points, the fused model recovers the high-fidelity
+// The headline property the paper's Figure 1 demonstrates: with dense cheap
+// and sparse expensive points, the fused model recovers the high-fidelity
 // function far better than a single-fidelity GP trained on the 5 expensive
 // points alone.
 func TestFusionBeatsSingleFidelity(t *testing.T) {
@@ -107,18 +143,23 @@ func TestInterpolatesHighFidelityPoints(t *testing.T) {
 
 func TestLowFidelityAccessors(t *testing.T) {
 	m := fitPedagogical(t, MonteCarlo, 5)
-	if m.Dim() != 1 {
-		t.Fatalf("Dim = %d", m.Dim())
+	if m.Dim() != 1 || m.Levels() != 2 {
+		t.Fatalf("Dim = %d, Levels = %d", m.Dim(), m.Levels())
 	}
-	mu, va := m.PredictLow([]float64{0.3})
+	mu, va := m.PredictLevel([]float64{0.3}, 0)
 	if math.Abs(mu-pedagogicalLow(0.3)) > 0.05 {
 		t.Fatalf("low prediction %v vs %v", mu, pedagogicalLow(0.3))
 	}
 	if va < 0 {
 		t.Fatalf("negative low variance %v", va)
 	}
-	if m.Low() == nil || m.High() == nil {
+	if m.Level(0) == nil || m.Level(1) == nil {
 		t.Fatal("accessors returned nil")
+	}
+	// A one-level chain predicts with its level-0 GP's posterior.
+	muB, vaB := NewMultiLevel(m.Level(0), MonteCarlo, 0).Predict([]float64{0.3})
+	if muB != mu || vaB != va {
+		t.Fatalf("one-level chain (%v, %v) vs level-0 posterior (%v, %v)", muB, vaB, mu, va)
 	}
 }
 
@@ -168,13 +209,14 @@ func TestUncertaintyPropagationWidensVariance(t *testing.T) {
 		Xh = append(Xh, []float64{x})
 		yh = append(yh, pedagogicalHigh(x))
 	}
+	X, y := [][][]float64{Xl, Xh}, [][]float64{yl, yh}
 	rngA := rand.New(rand.NewSource(8))
-	full, err := Fit(Xl, yl, Xh, yh, Config{Propagation: MonteCarlo, NumSamples: 200, FixedNoise: fixedNoise(1e-6)}, rngA)
+	full, err := FitMultiLevel(X, y, MultiLevelConfig{Propagation: MonteCarlo, NumSamples: 200, FixedNoise: fixedNoise(1e-6)}, rngA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rngB := rand.New(rand.NewSource(8))
-	plug, err := Fit(Xl, yl, Xh, yh, Config{Propagation: PlugIn, FixedNoise: fixedNoise(1e-6)}, rngB)
+	plug, err := FitMultiLevel(X, y, MultiLevelConfig{Propagation: PlugIn, FixedNoise: fixedNoise(1e-6)}, rngB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +236,7 @@ func TestUncertaintyPropagationWidensVariance(t *testing.T) {
 func TestPredictBatch(t *testing.T) {
 	m := fitPedagogical(t, GaussHermite, 9)
 	pts := [][]float64{{0.2}, {0.5}, {0.8}}
-	mus, vas := m.PredictBatch(pts)
+	mus, vas := m.PredictBatch(pts, 0)
 	for i, p := range pts {
 		mu, va := m.Predict(p)
 		if mu != mus[i] || va != vas[i] {
@@ -231,7 +273,7 @@ func TestMismatchedDesignsSupported(t *testing.T) {
 		yh[i] = pedagogicalHigh(x[0])
 	}
 	rng := rand.New(rand.NewSource(11))
-	m, err := Fit(Xl, yl, Xh, yh, Config{FixedNoise: fixedNoise(1e-6)}, rng)
+	m, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{FixedNoise: fixedNoise(1e-6)}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,57 +8,43 @@ import (
 
 	"repro/internal/gp"
 	"repro/internal/kernel"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// MultiLevel generalizes the paper's two-fidelity model to L ≥ 2 fidelity
-// levels with the recursive NARGP scheme of Perdikaris et al. (2017):
-// level 0 is a plain GP over x, and every level ℓ > 0 is a GP over the
-// augmented input (x, f̂_{ℓ−1}(x)) with the structured kernel of eq. (9).
-// The paper restricts itself to two levels (§3); this type backs the
-// fidelity-ladder engine (K > 2 rungs) the introduction motivates ("we can
-// always carry out the circuit simulation at different precision levels").
-// For L = 2 with identical hyperparameters and propagation it reproduces the
-// two-fidelity Model's fused posterior (see TestMultiLevelMatchesNARGP).
+// MultiLevel is the recursive NARGP model of Perdikaris et al. (2017) over
+// L ≥ 1 fidelity levels: level 0 is a plain GP over x, and every level ℓ > 0
+// is a GP over the augmented input (x, f̂_{ℓ−1}(x)) with the structured
+// kernel of eq. (9). The paper's two-fidelity model (§3) is the two-level
+// chain; longer chains back the fidelity-ladder engine (K > 2 rungs) the
+// introduction motivates ("we can always carry out the circuit simulation at
+// different precision levels"). A one-level chain is the plain level-0 GP —
+// the state of a chain whose fused levels could not be fitted.
 type MultiLevel struct {
-	models  []*gp.Model // models[0] over x, models[ℓ>0] over (x, prev)
-	dim     int
-	zs      [][]float64 // propagation nodes per fused level
-	weights []float64   // quadrature weights (GaussHermite); nil for MC
-	prop    Propagation
+	models     []*gp.Model // models[0] over x, models[ℓ>0] over (x, prev)
+	dim        int
+	prop       Propagation
+	numSamples int         // propagation nodes per fused level (MC or GH)
+	zs         [][]float64 // propagation nodes per fused level
+	weights    []float64   // quadrature weights (GaussHermite); nil otherwise
 
-	// predPool recycles *PredictScratch so Predict allocates nothing in
+	// predPool recycles *predictScratch so Predict allocates nothing in
 	// steady state.
 	predPool sync.Pool
 }
 
-// MultiLevelConfig tunes multi-level training.
+// MultiLevelConfig tunes FitMultiLevel.
 type MultiLevelConfig struct {
 	// Restarts / MaxIter / FixedNoise forward to gp.Fit at every level.
 	Restarts, MaxIter int
 	FixedNoise        *float64
 	// Propagation selects how each level's posterior is pushed through the
-	// next: MonteCarlo (default), GaussHermite or PlugIn — the same modes as
-	// the two-fidelity Model.
+	// next: MonteCarlo (default), GaussHermite or PlugIn.
 	Propagation Propagation
 	// NumSamples is the propagation cloud size per fused level (default 50
-	// for MonteCarlo — matching the two-fidelity Model — or 20 nodes for
-	// GaussHermite; ignored by PlugIn).
+	// for MonteCarlo or 20 nodes for GaussHermite; ignored by PlugIn).
 	NumSamples int
-	// WarmStarts, when non-nil, supplies per-level hyperparameter starts
-	// (WarmStarts[l] forwards to gp.Config.WarmStart for level l; nil
-	// entries fall back to the default start).
-	WarmStarts [][]float64
-	// SkipTraining keeps warm-start hyperparameters without optimizing, per
-	// level, for every level that has a WarmStarts entry. It is the
-	// fit-skipping fast path of the incremental maintenance schedule.
-	SkipTraining bool
-	// TrainTarget exempts the top (target) level from SkipTraining: its
-	// training set is the smallest and the two-fidelity engine always
-	// retrains it between full refits, so the K=2 chain must too to stay
-	// bit-compatible.
-	TrainTarget bool
 	// Inducing forwards to gp.Config.Inducing at every level.
 	Inducing int
 	// Workers forwards to gp.Config.Workers at every level (0 = default,
@@ -68,26 +54,76 @@ type MultiLevelConfig struct {
 	Span *telemetry.Span
 }
 
-// levelGPConfig assembles the gp.Config for one of levels levels.
-func (cfg MultiLevelConfig) levelGPConfig(l, levels, d int) gp.Config {
-	k := kernel.Kernel(kernel.NewSEARD(d))
-	if l > 0 {
-		k = kernel.NewNARGP(d)
+// NewMultiLevel starts a chain from a trained level-0 GP over the design
+// space; FitLevel stacks the fused levels on top. numSamples is the
+// propagation cloud size per fused level (≤ 0 selects 50 Monte-Carlo samples
+// or 20 Gauss–Hermite nodes). It panics on an unknown propagation mode,
+// which callers validate with their configuration.
+func NewMultiLevel(base *gp.Model, prop Propagation, numSamples int) *MultiLevel {
+	m := &MultiLevel{models: []*gp.Model{base}, dim: base.Kernel().Dim(), prop: prop, numSamples: numSamples}
+	switch prop {
+	case MonteCarlo:
+		if m.numSamples <= 0 {
+			m.numSamples = 50
+		}
+	case GaussHermite:
+		if m.numSamples <= 0 {
+			m.numSamples = 20
+		}
+		_, m.weights = stats.GaussHermite(m.numSamples)
+	case PlugIn:
+	default:
+		panic(fmt.Sprintf("mfgp: unknown propagation %d", prop))
 	}
-	g := gp.Config{
-		Kernel: k, Restarts: cfg.Restarts, MaxIter: cfg.MaxIter,
-		FixedNoise: cfg.FixedNoise, Inducing: cfg.Inducing,
-		Workers: cfg.Workers, Span: cfg.Span,
+	return m
+}
+
+// FitLevel trains the next level of the chain on (X, y): a GP over the
+// augmented input (x, µ(x)), where µ is the current top level's fused
+// posterior mean, with the eq. (9) kernel unless cfg.Kernel is set. The new
+// level's propagation nodes are drawn from rng after its GP is trained, so a
+// chain built level by level consumes the stream in fit order. On error the
+// chain is left unchanged.
+func (m *MultiLevel) FitLevel(X [][]float64, y []float64, cfg gp.Config, rng *rand.Rand) error {
+	if len(X) == 0 {
+		return errors.New("mfgp: need a low-fidelity model and high-fidelity data")
 	}
-	if cfg.WarmStarts != nil && l < len(cfg.WarmStarts) && cfg.WarmStarts[l] != nil {
-		g.WarmStart = cfg.WarmStarts[l]
-		g.SkipTraining = cfg.SkipTraining && !(cfg.TrainTarget && l == levels-1)
+	for _, x := range X {
+		if len(x) != m.dim {
+			return fmt.Errorf("mfgp: fidelity input dims differ: %d vs %d", m.dim, len(x))
+		}
 	}
-	return g
+	if cfg.Kernel == nil {
+		cfg.Kernel = kernel.NewNARGP(m.dim)
+	}
+	top := len(m.models) - 1
+	Xaug := make([][]float64, len(X))
+	for i, x := range X {
+		mu, _ := m.predictLevel(x, top)
+		Xaug[i] = append(append(make([]float64, 0, m.dim+1), x...), mu)
+	}
+	model, err := gp.Fit(Xaug, y, cfg, rng)
+	if err != nil {
+		return fmt.Errorf("mfgp: high-fidelity fit: %w", err)
+	}
+	var zs []float64
+	switch m.prop {
+	case MonteCarlo:
+		zs = make([]float64, m.numSamples)
+		for i := range zs {
+			zs[i] = rng.NormFloat64()
+		}
+	case GaussHermite:
+		zs, _ = stats.GaussHermite(m.numSamples)
+	}
+	m.models = append(m.models, model)
+	m.zs = append(m.zs, zs)
+	return nil
 }
 
 // FitMultiLevel trains the recursive model on per-level datasets ordered
-// from cheapest (X[0], y[0]) to the target fidelity (X[L−1], y[L−1]).
+// from cheapest (X[0], y[0]) to the target fidelity (X[L−1], y[L−1]): a
+// level-0 SE-ARD GP, then FitLevel per fused level.
 func FitMultiLevel(X [][][]float64, y [][]float64, cfg MultiLevelConfig, rng *rand.Rand) (*MultiLevel, error) {
 	if len(X) < 2 {
 		return nil, errors.New("mfgp: multi-level model needs at least two levels")
@@ -103,61 +139,24 @@ func FitMultiLevel(X [][][]float64, y [][]float64, cfg MultiLevelConfig, rng *ra
 			return nil, fmt.Errorf("mfgp: level %d has %d inputs but %d outputs", l, len(X[l]), len(y[l]))
 		}
 	}
-	d := len(X[0][0])
-	m := &MultiLevel{dim: d, prop: cfg.Propagation}
-	var ghNodes, ghWeights []float64
 	switch cfg.Propagation {
-	case GaussHermite:
-		n := cfg.NumSamples
-		if n <= 0 {
-			n = 20
-		}
-		ghNodes, ghWeights = stats.GaussHermite(n)
-		m.weights = ghWeights
-	case PlugIn, MonteCarlo:
+	case MonteCarlo, GaussHermite, PlugIn:
 	default:
 		return nil, fmt.Errorf("mfgp: unknown propagation %d", cfg.Propagation)
 	}
-	// Level 0: plain GP.
-	base, err := gp.Fit(X[0], y[0], cfg.levelGPConfig(0, len(X), d), rng)
+	gcfg := gp.Config{
+		Kernel: kernel.NewSEARD(len(X[0][0])), Restarts: cfg.Restarts, MaxIter: cfg.MaxIter,
+		FixedNoise: cfg.FixedNoise, Inducing: cfg.Inducing, Workers: cfg.Workers, Span: cfg.Span,
+	}
+	base, err := gp.Fit(X[0], y[0], gcfg, rng)
 	if err != nil {
 		return nil, fmt.Errorf("mfgp: level 0 fit: %w", err)
 	}
-	m.models = append(m.models, base)
-	// Levels 1..L−1: augment with the previous level's fused posterior mean.
-	// The propagation cloud for a level is drawn AFTER its GP is trained —
-	// building the augmented design only reads the nodes of levels below —
-	// so with L = 2 the rng stream is consumed in exactly the order of the
-	// two-fidelity gp.Fit + FitWithLow pair (bit-compatible trajectories).
+	m := NewMultiLevel(base, cfg.Propagation, cfg.NumSamples)
 	for l := 1; l < len(X); l++ {
-		if len(X[l][0]) != d {
-			return nil, fmt.Errorf("mfgp: level %d input dim %d != %d", l, len(X[l][0]), d)
-		}
-		Xaug := make([][]float64, len(X[l]))
-		for i, x := range X[l] {
-			mu, _ := m.predictLevel(x, l-1)
-			Xaug[i] = append(append(make([]float64, 0, d+1), x...), mu)
-		}
-		model, err := gp.Fit(Xaug, y[l], cfg.levelGPConfig(l, len(X), d), rng)
-		if err != nil {
-			return nil, fmt.Errorf("mfgp: level %d fit: %w", l, err)
-		}
-		m.models = append(m.models, model)
-		switch cfg.Propagation {
-		case MonteCarlo:
-			n := cfg.NumSamples
-			if n <= 0 {
-				n = 50
-			}
-			zs := make([]float64, n)
-			for i := range zs {
-				zs[i] = rng.NormFloat64()
-			}
-			m.zs = append(m.zs, zs)
-		case GaussHermite:
-			m.zs = append(m.zs, ghNodes)
-		case PlugIn:
-			m.zs = append(m.zs, nil)
+		gcfg.Kernel = nil
+		if err := m.FitLevel(X[l], y[l], gcfg, rng); err != nil {
+			return nil, fmt.Errorf("mfgp: level %d: %w", l, err)
 		}
 	}
 	return m, nil
@@ -183,7 +182,7 @@ func (m *MultiLevel) Level(l int) *gp.Model {
 func (m *MultiLevel) LevelSize(l int) int { return m.Level(l).TrainingSize() }
 
 // Hyper returns the per-level hyperparameter vectors, suitable for warm
-// starting a later FitMultiLevel via MultiLevelConfig.WarmStarts.
+// starting (gp.Config.WarmStart) the per-level fits of a later chain.
 func (m *MultiLevel) Hyper() [][]float64 {
 	out := make([][]float64, len(m.models))
 	for l, g := range m.models {
@@ -195,10 +194,9 @@ func (m *MultiLevel) Hyper() [][]float64 {
 // AppendLevel folds one observation (x, y) at level l into the chain with a
 // rank-1 Cholesky update instead of a refit. For l > 0 the augmented
 // coordinate is computed from the CURRENT lower chain and then frozen — the
-// same streaming approximation as the two-fidelity AppendHigh: later appends
-// to lower levels sharpen future augmentations but do not retroactively move
-// this row. The periodic full refit of the maintenance schedule rebuilds all
-// augmentations exactly.
+// standard streaming approximation: later appends to lower levels sharpen
+// future augmentations but do not retroactively move this row. The periodic
+// full refit of the maintenance schedule rebuilds all augmentations exactly.
 func (m *MultiLevel) AppendLevel(l int, x []float64, y float64) error {
 	if l < 0 || l >= len(m.models) {
 		return fmt.Errorf("mfgp: append level %d out of range [0, %d)", l, len(m.models))
@@ -215,11 +213,11 @@ func (m *MultiLevel) AppendLevel(l int, x []float64, y float64) error {
 }
 
 // TruncateLevel drops level-l training rows beyond the first n — the
-// retraction primitive for ladder fantasy proposals. Like the two-fidelity
-// TruncateHigh it restores the exact pre-append posterior of that level
-// provided no OTHER level was appended to in between (an append at a lower
-// level changes the augmentation of subsequent upper-level appends, which
-// truncation of this level alone cannot undo).
+// retraction primitive for fantasy proposals. It restores the exact
+// pre-append posterior of that level provided no OTHER level was appended to
+// in between (an append at a lower level changes the augmentation of
+// subsequent upper-level appends, which truncation of this level alone
+// cannot undo).
 func (m *MultiLevel) TruncateLevel(l, n int) error {
 	if l < 0 || l >= len(m.models) {
 		return fmt.Errorf("mfgp: truncate level %d out of range [0, %d)", l, len(m.models))
@@ -249,13 +247,26 @@ func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 	if l == 0 {
 		return mu, va
 	}
-	sc, ok := m.predPool.Get().(*PredictScratch)
+	sc, ok := m.predPool.Get().(*predictScratch)
 	if !ok {
-		sc = new(PredictScratch) // node buffers grow on first use
+		sc = new(predictScratch) // node buffers grow on first use
 	}
 	for lev := 1; lev <= l; lev++ {
 		mu, va = propagate(m.models[lev], x, mu, va, m.prop, m.zs[lev-1], m.weights, sc)
 	}
 	m.predPool.Put(sc)
 	return mu, va
+}
+
+// PredictBatch evaluates Predict over many points, fanning the grid across
+// up to workers goroutines (0 = default, 1 = serial). Every point is an
+// independent pure function of the trained chain, so the output is
+// bit-identical to the serial loop for any worker count.
+func (m *MultiLevel) PredictBatch(xs [][]float64, workers int) (means, variances []float64) {
+	means = make([]float64, len(xs))
+	variances = make([]float64, len(xs))
+	parallel.ForEach(parallel.Workers(workers), len(xs), func(i int) {
+		means[i], variances[i] = m.Predict(xs[i])
+	})
+	return means, variances
 }

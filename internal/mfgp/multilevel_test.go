@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/gp"
+	"repro/internal/kernel"
 )
 
 // threeLevelData builds a nested 1-D design for the chain
@@ -27,47 +30,6 @@ func threeLevelData() (X [][][]float64, y [][]float64, f2 func(float64) float64)
 	X0, X1, X2 := grid(60), grid(25), grid(12)
 	return [][][]float64{X0, X1, X2},
 		[][]float64{apply(X0, f0), apply(X1, f1), apply(X2, f2)}, f2
-}
-
-// TestMultiLevelMatchesNARGP pins the K=2 degradation of the recursive
-// model: refit on the SAME datasets with the two-fidelity pair model's
-// hyperparameters (SkipTraining) and deterministic Gauss–Hermite
-// propagation, the 2-level chain must reproduce the NARGP fused posterior to
-// numerical precision — same level-0 GP, same augmented design, same
-// quadrature collapse.
-func TestMultiLevelMatchesNARGP(t *testing.T) {
-	Xl, yl, Xh, yh := pedagogicalData()
-	rng := rand.New(rand.NewSource(11))
-	pair, err := Fit(Xl, yl, Xh, yh, Config{
-		Restarts: 2, FixedNoise: fixedNoise(1e-6),
-		Propagation: GaussHermite, NumSamples: 20,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
-		FixedNoise:  fixedNoise(1e-6),
-		Propagation: GaussHermite, NumSamples: 20,
-		WarmStarts:   [][]float64{pair.Low().Hyper(), pair.High().Hyper()},
-		SkipTraining: true,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i <= 100; i++ {
-		x := []float64{float64(i) / 100}
-		muP, vaP := pair.Predict(x)
-		muM, vaM := ml.Predict(x)
-		if math.Abs(muP-muM) > 1e-8 || math.Abs(vaP-vaM) > 1e-8 {
-			t.Fatalf("x=%v: pair (%v ± %v) vs 2-level chain (%v ± %v)", x[0], muP, vaP, muM, vaM)
-		}
-	}
-	// The level-0 chain posterior is the pair model's low-fidelity posterior.
-	muPL, vaPL := pair.PredictLow([]float64{0.37})
-	muML, vaML := ml.PredictLevel([]float64{0.37}, 0)
-	if math.Abs(muPL-muML) > 1e-10 || math.Abs(vaPL-vaML) > 1e-10 {
-		t.Fatalf("level-0 posterior mismatch: (%v, %v) vs (%v, %v)", muPL, vaPL, muML, vaML)
-	}
 }
 
 // TestMultiLevelAppendTruncateRoundTrip pins the fantasy-retraction
@@ -157,9 +119,10 @@ func TestMultiLevelAppendIncorporatesData(t *testing.T) {
 }
 
 // TestMultiLevelCheckpointRoundTrip pins the engine's K-level restore
-// protocol: persisting the per-level datasets plus Hyper() and refitting
-// with SkipTraining + deterministic propagation reproduces the chain
-// posterior bit for bit.
+// protocol: persisting the per-level datasets plus Hyper() and rebuilding the
+// chain level by level with those hyperparameters frozen (gp.Config
+// WarmStart + SkipTraining) and deterministic propagation reproduces the
+// chain posterior bit for bit.
 func TestMultiLevelCheckpointRoundTrip(t *testing.T) {
 	X, y, _ := threeLevelData()
 	rng := rand.New(rand.NewSource(14))
@@ -172,12 +135,22 @@ func TestMultiLevelCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "Restore": same datasets + saved hypers, no training.
-	cfg2 := cfg
-	cfg2.WarmStarts = m.Hyper()
-	cfg2.SkipTraining = true
-	m2, err := FitMultiLevel(X, y, cfg2, rand.New(rand.NewSource(999)))
+	hyper := m.Hyper()
+	rng2 := rand.New(rand.NewSource(999))
+	frozen := func(l int) gp.Config {
+		return gp.Config{FixedNoise: cfg.FixedNoise, WarmStart: hyper[l], SkipTraining: true}
+	}
+	base := frozen(0)
+	base.Kernel = kernel.NewSEARD(1)
+	low, err := gp.Fit(X[0], y[0], base, rng2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	m2 := NewMultiLevel(low, cfg.Propagation, cfg.NumSamples)
+	for l := 1; l < len(X); l++ {
+		if err := m2.FitLevel(X[l], y[l], frozen(l), rng2); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i <= 50; i++ {
 		x := []float64{float64(i) / 50}

@@ -37,8 +37,8 @@ func fusionSet(seed int64, nl, nh, d int) (Xl [][]float64, yl []float64, Xh [][]
 	return Xl, yl, Xh, yh, lo, hi
 }
 
-// TestFusedPredictBatchParallelDeterminism is the prediction-side tentpole
-// guarantee for the fused model: training and batch prediction must be
+// TestFusedPredictBatchParallelDeterminism is the prediction-side guarantee
+// for the two-level fused model: training and batch prediction must be
 // bit-identical for every worker count, across propagation schemes.
 func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 	cases := []struct {
@@ -53,8 +53,8 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			Xl, yl, Xh, yh, lo, hi := fusionSet(21, 40, 12, 3)
 			grid := stats.LatinHypercube(rand.New(rand.NewSource(22)), lo, hi, 48)
-			fit := func(workers int) *Model {
-				m, err := Fit(Xl, yl, Xh, yh, Config{
+			fit := func(workers int) *MultiLevel {
+				m, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
 					MaxIter: 30, Propagation: tc.prop, NumSamples: 10, Workers: workers,
 				}, rand.New(rand.NewSource(23)))
 				if err != nil {
@@ -64,8 +64,8 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 			}
 			m1 := fit(1)
 			m8 := fit(8)
-			mu1, v1 := m1.PredictBatch(grid)
-			mu8, v8 := m8.PredictBatch(grid)
+			mu1, v1 := m1.PredictBatch(grid, 1)
+			mu8, v8 := m8.PredictBatch(grid, 8)
 			for i := range grid {
 				if math.Float64bits(mu1[i]) != math.Float64bits(mu8[i]) ||
 					math.Float64bits(v1[i]) != math.Float64bits(v8[i]) {
@@ -82,7 +82,7 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 }
 
 // TestPredictAllocationLean asserts the satellite fix for the augmented-point
-// allocation: after warmup, a fused prediction — of the pair model and of a
+// allocation: after warmup, a fused prediction — of a two-level and of a
 // three-level chain — must run with (near) zero allocations per call thanks
 // to the pooled scratch.
 func TestPredictAllocationLean(t *testing.T) {
@@ -111,41 +111,20 @@ func TestPredictAllocationLean(t *testing.T) {
 		prop Propagation
 	}{{"plugin", PlugIn}, {"gauss-hermite", GaussHermite}, {"monte-carlo", MonteCarlo}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := Fit(Xl, yl, Xh, yh, Config{
+			m, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
 				MaxIter: 30, Propagation: tc.prop, NumSamples: 10,
 			}, rand.New(rand.NewSource(32)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAllocs(t, "Model.Predict", m.Predict)
+			checkAllocs(t, "two-level Predict", m.Predict)
 			ml, err := FitMultiLevel([][][]float64{Xm, Xl, Xh}, [][]float64{ym, yl, yh}, MultiLevelConfig{
 				MaxIter: 30, Propagation: tc.prop, NumSamples: 10,
 			}, rand.New(rand.NewSource(35)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAllocs(t, "MultiLevel.Predict", ml.Predict)
+			checkAllocs(t, "three-level Predict", ml.Predict)
 		})
-	}
-}
-
-// TestPredictIntoMatchesPredict pins the caller-owned-scratch entry point
-// against the pooled path.
-func TestPredictIntoMatchesPredict(t *testing.T) {
-	Xl, yl, Xh, yh, lo, hi := fusionSet(41, 30, 10, 2)
-	m, err := Fit(Xl, yl, Xh, yh, Config{
-		MaxIter: 30, Propagation: GaussHermite, NumSamples: 8,
-	}, rand.New(rand.NewSource(42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := m.NewPredictScratch()
-	for _, x := range stats.LatinHypercube(rand.New(rand.NewSource(43)), lo, hi, 20) {
-		pm, pv := m.Predict(x)
-		im, iv := m.PredictInto(x, sc)
-		if math.Float64bits(pm) != math.Float64bits(im) ||
-			math.Float64bits(pv) != math.Float64bits(iv) {
-			t.Fatalf("PredictInto mismatch at %v: (%v,%v) vs (%v,%v)", x, pm, pv, im, iv)
-		}
 	}
 }

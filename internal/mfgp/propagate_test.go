@@ -50,19 +50,16 @@ var propagations = []struct {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// checkFusedOracle compares Predict and PredictInto with refPropagate at
-// every probe.
-func checkFusedOracle(t *testing.T, m *Model, probes [][]float64, stage string) {
+// checkFusedOracle compares a two-level chain's Predict with refPropagate
+// at every probe.
+func checkFusedOracle(t *testing.T, m *MultiLevel, probes [][]float64, stage string) {
 	t.Helper()
-	sc := m.NewPredictScratch()
 	for i, x := range probes {
-		muL, vaL := m.Low().PredictLatent(x)
-		wm, wv := refPropagate(m.High(), x, muL, vaL, m.prop, m.zs, m.weights)
+		muL, vaL := m.Level(0).PredictLatent(x)
+		wm, wv := refPropagate(m.Level(1), x, muL, vaL, m.prop, m.zs[0], m.weights)
 		pm, pv := m.Predict(x)
-		im, iv := m.PredictInto(x, sc)
-		if !sameBits(pm, wm) || !sameBits(pv, wv) || !sameBits(im, wm) || !sameBits(iv, wv) {
-			t.Fatalf("%s, probe %d: Predict (%v,%v), PredictInto (%v,%v), per-node (%v,%v)",
-				stage, i, pm, pv, im, iv, wm, wv)
+		if !sameBits(pm, wm) || !sameBits(pv, wv) {
+			t.Fatalf("%s, probe %d: Predict (%v,%v), per-node (%v,%v)", stage, i, pm, pv, wm, wv)
 		}
 	}
 }
@@ -71,9 +68,9 @@ func checkFusedOracle(t *testing.T, m *Model, probes [][]float64, stage string) 
 // design-only eq. (9) factors out of the propagation loop: across design
 // dimensions, propagation modes, the exact and low-rank high GP, and a
 // high kernel of another structure (which must take the per-node
-// fallback), fused predictions equal the per-node evaluation bit for bit —
-// also after AppendHigh grows the high GP past the prediction scratch sized
-// at fit time, and after TruncateHigh retracts it again.
+// fallback), two-level fused predictions equal the per-node evaluation bit
+// for bit — also after appends grow the high GP past the prediction scratch
+// sized at fit time, and after truncation retracts it again.
 func TestHoistedPropagationMatchesPerNode(t *testing.T) {
 	variants := []struct {
 		name     string
@@ -87,37 +84,42 @@ func TestHoistedPropagationMatchesPerNode(t *testing.T) {
 		for _, p := range propagations {
 			for _, v := range variants {
 				t.Run(fmt.Sprintf("d%d/%s/%s", d, p.name, v.name), func(t *testing.T) {
-					cfg := Config{MaxIter: 5, Restarts: 1, Propagation: p.prop, Inducing: v.inducing, Workers: 1}
-					if v.seard {
-						cfg.HighKernel = kernel.NewSEARD(d + 1)
-					}
-					m, err := Fit(Xl, yl, Xh, yh, cfg, rand.New(rand.NewSource(int64(90+d))))
+					rng := rand.New(rand.NewSource(int64(90 + d)))
+					low, err := gp.Fit(Xl, yl, gp.Config{Kernel: kernel.NewSEARD(d), MaxIter: 5, Restarts: 1, Workers: 1}, rng)
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, split := kernel.SplitNARGP(kernel.ProfileOf(m.High().Kernel()), d+1)
+					m := NewMultiLevel(low, p.prop, 0)
+					cfg := gp.Config{MaxIter: 5, Restarts: 1, Inducing: v.inducing, Workers: 1}
+					if v.seard {
+						cfg.Kernel = kernel.NewSEARD(d + 1)
+					}
+					if err := m.FitLevel(Xh, yh, cfg, rng); err != nil {
+						t.Fatal(err)
+					}
+					_, split := kernel.SplitNARGP(kernel.ProfileOf(m.Level(1).Kernel()), d+1)
 					if split == v.seard {
 						t.Fatalf("SplitNARGP = %v on the %s high kernel", split, v.name)
 					}
-					if got := m.High().IsLowRank(); got != (v.inducing > 0) {
+					if got := m.Level(1).IsLowRank(); got != (v.inducing > 0) {
 						t.Fatalf("high GP low-rank = %v, want %v", got, v.inducing > 0)
 					}
-					n0 := m.HighSize()
+					n0 := m.LevelSize(1)
 					checkFusedOracle(t, m, probes, "after fit")
 					for _, x := range extra {
 						y := 0.0
 						for j, xj := range x {
 							y += math.Sin(3*xj + float64(j))
 						}
-						if err := m.AppendHigh(x, 1.15*y+0.05); err != nil {
+						if err := m.AppendLevel(1, x, 1.15*y+0.05); err != nil {
 							t.Fatal(err)
 						}
 					}
-					checkFusedOracle(t, m, probes, "after AppendHigh")
-					if err := m.TruncateHigh(n0); err != nil {
+					checkFusedOracle(t, m, probes, "after AppendLevel")
+					if err := m.TruncateLevel(1, n0); err != nil {
 						t.Fatal(err)
 					}
-					checkFusedOracle(t, m, probes, "after TruncateHigh")
+					checkFusedOracle(t, m, probes, "after TruncateLevel")
 				})
 			}
 		}
