@@ -101,12 +101,17 @@ func TestPFBounds(t *testing.T) {
 }
 
 func constPosterior(mu, v float64) Posterior {
-	return func([]float64) (float64, float64) { return mu, v }
+	return func(_, dm, dv []float64) (float64, float64) {
+		for i := range dm {
+			dm[i], dv[i] = 0, 0
+		}
+		return mu, v
+	}
 }
 
 func TestWEIReducesToEIWithoutConstraints(t *testing.T) {
 	w := WEI(constPosterior(0.2, 0.5), nil, 1)
-	if got, want := w([]float64{0}), EI(0.2, 0.5, 1); math.Abs(got-want) > 1e-15 {
+	if got, want := w([]float64{0}, nil), EI(0.2, 0.5, 1); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("wEI = %v, want EI %v", got, want)
 	}
 }
@@ -116,7 +121,7 @@ func TestWEIPenalizesInfeasibleRegions(t *testing.T) {
 	feasible := WEI(obj, []Posterior{constPosterior(-2, 0.5)}, 1)
 	infeasible := WEI(obj, []Posterior{constPosterior(+2, 0.5)}, 1)
 	x := []float64{0}
-	if feasible(x) <= infeasible(x) {
+	if feasible(x, nil) <= infeasible(x, nil) {
 		t.Fatal("wEI should favor likely-feasible regions")
 	}
 }
@@ -127,17 +132,17 @@ func TestWEIMultipleConstraintsMultiply(t *testing.T) {
 	one := WEI(obj, []Posterior{c}, 1)
 	two := WEI(obj, []Posterior{c, c}, 1)
 	x := []float64{0}
-	if math.Abs(two(x)-0.5*one(x)) > 1e-12 {
-		t.Fatalf("two constraints %v, want half of %v", two(x), one(x))
+	if math.Abs(two(x, nil)-0.5*one(x, nil)) > 1e-12 {
+		t.Fatalf("two constraints %v, want half of %v", two(x, nil), one(x, nil))
 	}
 }
 
 func TestPFOnly(t *testing.T) {
 	a := PFOnly([]Posterior{constPosterior(0, 1), constPosterior(0, 1)})
-	if got := a([]float64{0}); math.Abs(got-0.25) > 1e-12 {
+	if got := a([]float64{0}, nil); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("PFOnly = %v, want 0.25", got)
 	}
-	if got := PFOnly(nil)([]float64{0}); got != 1 {
+	if got := PFOnly(nil)([]float64{0}, nil); got != 1 {
 		t.Fatalf("PFOnly(nil) = %v, want 1", got)
 	}
 }
@@ -157,12 +162,12 @@ func TestLCBUCB(t *testing.T) {
 func TestFeasibilityObjective(t *testing.T) {
 	cons := []Posterior{constPosterior(2, 1), constPosterior(-3, 1), constPosterior(0.5, 1)}
 	f := FeasibilityObjective(cons)
-	if got := f([]float64{0}); math.Abs(got-2.5) > 1e-14 {
+	if got := f([]float64{0}, nil); math.Abs(got-2.5) > 1e-14 {
 		t.Fatalf("violation sum = %v, want 2.5", got)
 	}
 	// All-feasible means zero violation.
 	g := FeasibilityObjective([]Posterior{constPosterior(-1, 1)})
-	if got := g([]float64{0}); got != 0 {
+	if got := g([]float64{0}, nil); got != 0 {
 		t.Fatalf("feasible violation = %v, want 0", got)
 	}
 }
@@ -185,7 +190,7 @@ func TestRandomizedWEIConsistency(t *testing.T) {
 		tau := rng.NormFloat64()
 		cm := rng.NormFloat64()
 		cv := math.Abs(rng.NormFloat64()) + 0.1
-		w := WEI(constPosterior(mu, v), []Posterior{constPosterior(cm, cv)}, tau)([]float64{0})
+		w := WEI(constPosterior(mu, v), []Posterior{constPosterior(cm, cv)}, tau)([]float64{0}, nil)
 		want := EI(mu, v, tau) * PF(cm, cv)
 		if math.Abs(w-want) > 1e-12 {
 			t.Fatalf("wEI composition mismatch: %v vs %v", w, want)

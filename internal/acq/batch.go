@@ -27,7 +27,7 @@ func EvalBatchPosterior(workers int, p Posterior, xs [][]float64) (means, varian
 	means = make([]float64, len(xs))
 	variances = make([]float64, len(xs))
 	parallel.ForEach(parallel.Workers(workers), len(xs), func(i int) {
-		means[i], variances[i] = p(xs[i])
+		means[i], variances[i] = p(xs[i], nil, nil)
 	})
 	return means, variances
 }

@@ -125,22 +125,20 @@ func WEIBO(p problem.Problem, cfg WEIBOConfig, rng *rand.Rand) (*core.Result, er
 		if err != nil {
 			return nil, fmt.Errorf("baselines: WEIBO iter %d %w", iter, err)
 		}
-		obj := func(x []float64) (float64, float64) { return models[0].PredictLatent(x) }
+		obj := acq.Posterior(models[0].PredictLatentGrad)
 		cons := make([]acq.Posterior, nc)
 		for i := 0; i < nc; i++ {
-			m := models[1+i]
-			cons[i] = func(x []float64) (float64, float64) { return m.PredictLatent(x) }
+			cons[i] = models[1+i].PredictLatentGrad
 		}
 
 		bestX, bestEval, hasFeasible := bestObservation(X, Y)
-		var a func([]float64) float64
+		var a optimize.Objective
 		var inc []float64
 		if hasFeasible {
 			a = acq.WEI(obj, cons, bestEval.Objective)
 			inc = bestX
 		} else if nc > 0 {
-			fo := acq.FeasibilityObjective(cons)
-			a = func(x []float64) float64 { return -fo(x) }
+			a = acq.Negated(acq.FeasibilityObjective(cons))
 		} else {
 			a = acq.WEI(obj, nil, math.Inf(1))
 		}

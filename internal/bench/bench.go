@@ -82,7 +82,7 @@ func MSP(workers int) func(*testing.B) {
 				best = v
 			}
 		}
-		a := acq.WEI(func(x []float64) (float64, float64) { return m.PredictLatent(x) }, nil, best)
+		a := acq.WEI(m.PredictLatentGrad, nil, best)
 		box := optimize.NewBox(lo, hi)
 		b.ReportAllocs()
 		b.ResetTimer()

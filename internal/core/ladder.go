@@ -515,7 +515,7 @@ func (st *state) propose(iter int, span *telemetry.Span, wantFantasy bool) ([]fl
 	nc := st.nc
 	levelPost := func(k, level int) acq.Posterior {
 		m, l := chains[k], topLevel(chains[k], level)
-		return func(x []float64) (float64, float64) { return m.PredictLevel(x, l) }
+		return func(x, dm, dv []float64) (float64, float64) { return m.PredictLevelGrad(x, l, dm, dv) }
 	}
 	lowObj := levelPost(0, 0)
 	lowCons := make([]acq.Posterior, nc)
@@ -540,14 +540,13 @@ func (st *state) propose(iter int, span *telemetry.Span, wantFantasy bool) ([]fl
 	}
 
 	// Rung-0 acquisition → x*_l.
-	var acqLow func([]float64) float64
+	var acqLow optimize.Objective
 	bootstrapLow := false
 	switch {
 	case hasLowFeasible:
 		acqLow = acq.WEI(lowObj, lowCons, tauLowEval.Objective)
 	case nc > 0:
-		fo := acq.FeasibilityObjective(lowCons)
-		acqLow = func(x []float64) float64 { return -fo(x) }
+		acqLow = acq.Negated(acq.FeasibilityObjective(lowCons))
 		bootstrapLow = true
 	default:
 		acqLow = acq.WEI(lowObj, nil, math.Inf(1))
@@ -562,15 +561,14 @@ func (st *state) propose(iter int, span *telemetry.Span, wantFantasy bool) ([]fl
 	xStarLow, acqLowVal := optimize.MaximizeMSP(st.rng, acqLow, st.box, incHigh, incLow, mspCfg)
 
 	// Target-rung acquisition seeded with x*_l.
-	var acqHigh func([]float64) float64
+	var acqHigh optimize.Objective
 	bootstrap := false
 	switch {
 	case hasHighFeasible:
 		acqHigh = acq.WEI(fusedObj, fusedCons, tauHighEval.Objective)
 	case nc > 0:
 		// §4.2: no feasible target point yet — chase predicted feasibility.
-		fo := acq.FeasibilityObjective(fusedCons)
-		acqHigh = func(x []float64) float64 { return -fo(x) }
+		acqHigh = acq.Negated(acq.FeasibilityObjective(fusedCons))
 		bootstrap = true
 	default:
 		acqHigh = acq.WEI(fusedObj, nil, math.Inf(1))

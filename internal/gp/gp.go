@@ -127,13 +127,17 @@ type Model struct {
 // profile itself (profiles carry scratch and must not be shared across
 // goroutines). When the profile is the eq. (9) kernel, nargp holds its split
 // and k2/k3 the design-only kernel rows PredictLatentAugmented reuses across
-// nodes; aug is the augmented point of its per-node fallback.
+// nodes; aug is the augmented point of its per-node fallback. The gradient
+// path adds the variance weights u, the per-node k1 row, the design
+// differences dx (rows × d), and per-coordinate accumulators.
 type predictScratch struct {
 	x, ks, v, diff, aug []float64
 	prof                kernel.PairProfile
 	nargp               kernel.NARGPProfile
 	nargpOK             bool
 	k2, k3              []float64
+	u, k1, dx           []float64
+	gm, gv, am, av, a3  []float64
 }
 
 func (m *Model) getPredictScratch() *predictScratch {
@@ -145,6 +149,11 @@ func (m *Model) getPredictScratch() *predictScratch {
 		x:    make([]float64, d),
 		diff: make([]float64, d),
 		aug:  make([]float64, d),
+		gm:   make([]float64, d),
+		gv:   make([]float64, d),
+		am:   make([]float64, d),
+		av:   make([]float64, d),
+		a3:   make([]float64, d),
 		prof: kernel.ProfileOf(m.kern), // nil for non-Pairwise kernels
 	}
 	if sc.prof != nil {
@@ -162,9 +171,12 @@ func (sc *predictScratch) grow(n int) {
 	}
 	sc.ks = make([]float64, n)
 	sc.v = make([]float64, n)
+	sc.u = make([]float64, n)
 	if sc.nargpOK {
+		sc.k1 = make([]float64, n)
 		sc.k2 = make([]float64, n)
 		sc.k3 = make([]float64, n)
+		sc.dx = make([]float64, n*sc.nargp.Dim)
 	}
 }
 
@@ -474,13 +486,28 @@ func (m *Model) Predict(x []float64) (mean, variance float64) {
 // concurrent use and allocates nothing in steady state: all buffers (and the
 // kernel's pair profile) come from a per-model sync.Pool.
 func (m *Model) PredictLatent(x []float64) (mean, variance float64) {
+	return m.PredictLatentGrad(x, nil, nil)
+}
+
+// PredictLatentGrad is PredictLatent that also writes the gradients of the
+// latent mean and variance with respect to x into dmean and dvar (len(x)
+// each); nil dmean and dvar skip the gradient. The returned mean and
+// variance are bit-identical to PredictLatent's. With the posterior weights
+// α = K⁻¹y and u = K⁻¹k(x) (one extra triangular solve),
+//
+//	∂µ/∂x = ∂kᵀα,   ∂σ²/∂x = −2uᵀ∂k,
+//
+// and on the low-rank path u = K_mm⁻¹k_m − Σ⁻¹k_m. A variance clamped at
+// zero has a zero gradient. Gradients need an SE-ARD kernel (the eq. (9)
+// kernel is served by PredictLatentAugmentedGrad).
+func (m *Model) PredictLatentGrad(x, dmean, dvar []float64) (mean, variance float64) {
 	sc := m.getPredictScratch()
-	mean, variance = m.predictLatentInto(x, sc)
+	mean, variance = m.predictLatentInto(x, sc, dmean, dvar)
 	m.predPool.Put(sc)
 	return mean, variance
 }
 
-func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, variance float64) {
+func (m *Model) predictLatentInto(x []float64, sc *predictScratch, dmean, dvar []float64) (mean, variance float64) {
 	m.toStdXInto(x, sc.x)
 	rows := m.kernelRows()
 	sc.grow(len(rows))
@@ -504,7 +531,11 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, varian
 		}
 		kss = m.kern.Eval(sc.x, sc.x)
 	}
-	return m.posterior(ks, kss, sc.v)
+	mean, variance = m.posterior(ks, kss, sc.v)
+	if dmean != nil {
+		m.seGrad(rows, ks, sc, variance == 0, dmean, dvar)
+	}
+	return mean, variance
 }
 
 // PredictLatentAugmented evaluates PredictLatent at the augmented points
@@ -518,6 +549,21 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, varian
 // other kernels run. Safe for concurrent use; allocates nothing in steady
 // state.
 func (m *Model) PredictLatentAugmented(x, fs, means, variances []float64) {
+	m.PredictLatentAugmentedGrad(x, fs, nil, means, variances, nil, nil)
+}
+
+// PredictLatentAugmentedGrad is PredictLatentAugmented plus, per node s, the
+// total gradients of means[s] and variances[s] with respect to the design
+// point x when the node itself moves with x as ∂f_s/∂x = dfs[s·d:(s+1)·d]:
+//
+//	dmeans[s·d+t] = ∂µ/∂x_t + ∂µ/∂f · ∂f_s/∂x_t
+//
+// and likewise dvars. nil dfs, dmeans and dvars skip the gradients; the
+// values are bit-identical either way. On the eq. (9) kernel the design-only
+// rows k2, k3, the design differences and the mean's k3 term are computed
+// once per point; each node adds its k1 row, one triangular solve and O(n·d)
+// accumulations. Gradients need SE-ARD factors.
+func (m *Model) PredictLatentAugmentedGrad(x, fs, dfs, means, variances, dmeans, dvars []float64) {
 	d := len(x)
 	if d+1 != len(m.xMean) {
 		panic(fmt.Sprintf("gp: augmented prediction over %d+1 inputs on a %d-input model", d, len(m.xMean)))
@@ -525,10 +571,17 @@ func (m *Model) PredictLatentAugmented(x, fs, means, variances []float64) {
 	sc := m.getPredictScratch()
 	defer m.predPool.Put(sc)
 	if !sc.nargpOK {
+		var am, av []float64 // full-input gradients of one node
+		if dmeans != nil {
+			am, av = sc.am, sc.av
+		}
 		copy(sc.aug, x)
 		for s, f := range fs {
 			sc.aug[d] = f
-			means[s], variances[s] = m.predictLatentInto(sc.aug, sc)
+			means[s], variances[s] = m.predictLatentInto(sc.aug, sc, am, av)
+			if am != nil {
+				chainNode(am, av, dfs[s*d:(s+1)*d], dmeans[s*d:(s+1)*d], dvars[s*d:(s+1)*d])
+			}
 		}
 		return
 	}
@@ -538,7 +591,7 @@ func (m *Model) PredictLatentAugmented(x, fs, means, variances []float64) {
 	rows := m.kernelRows()
 	n := len(rows)
 	sc.grow(n)
-	ks, k2, k3 := sc.ks[:n], sc.k2[:n], sc.k3[:n]
+	ks, k1, k2, k3 := sc.ks[:n], sc.k1[:n], sc.k2[:n], sc.k3[:n]
 	sp := sc.nargp
 	dx, df := sc.diff[:d], sc.diff[d:]
 	for i, xi := range rows {
@@ -547,6 +600,9 @@ func (m *Model) PredictLatentAugmented(x, fs, means, variances []float64) {
 		}
 		k2[i] = sp.K2.Eval(dx)
 		k3[i] = sp.K3.Eval(dx)
+		if dmeans != nil {
+			copy(sc.dx[i*d:(i+1)*d], dx)
+		}
 	}
 	for t := range sc.diff {
 		sc.diff[t] = 0
@@ -554,13 +610,21 @@ func (m *Model) PredictLatentAugmented(x, fs, means, variances []float64) {
 	// The conversions keep the products rounded exactly as the whole
 	// profile's Eval rounds them (no fused multiply-add).
 	kss := float64(sp.K1.Eval(df)*sp.K2.Eval(dx)) + sp.K3.Eval(dx)
+	var g nargpGrad
+	if dmeans != nil {
+		g = m.nargpGradFor(sc, n, d)
+	}
 	for s, f := range fs {
 		sf := (f - m.xMean[d]) / m.xStd[d]
 		for i, xi := range rows {
 			df[0] = sf - xi[d]
-			ks[i] = float64(sp.K1.Eval(df)*k2[i]) + k3[i]
+			k1[i] = sp.K1.Eval(df)
+			ks[i] = float64(k1[i]*k2[i]) + k3[i]
 		}
 		means[s], variances[s] = m.posterior(ks, kss, sc.v)
+		if dmeans != nil {
+			g.node(m, sc, rows, sf, variances[s] == 0, dfs[s*d:(s+1)*d], dmeans[s*d:(s+1)*d], dvars[s*d:(s+1)*d])
+		}
 	}
 }
 

@@ -117,7 +117,8 @@ func TestPredictBatchParallelDeterminism(t *testing.T) {
 }
 
 // TestPredictLatentAllocationLean asserts the pooled scratch path: after
-// warmup, a posterior evaluation must not allocate per call.
+// warmup, a posterior evaluation, with or without gradients, must not
+// allocate per call.
 func TestPredictLatentAllocationLean(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race runtime defeats sync.Pool reuse; alloc counts only hold without -race")
@@ -134,5 +135,10 @@ func TestPredictLatentAllocationLean(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { m.PredictLatent(x) })
 	if allocs > 1 {
 		t.Fatalf("PredictLatent allocates %.1f objects per call; want ≤ 1", allocs)
+	}
+	dm, dv := make([]float64, 3), make([]float64, 3)
+	m.PredictLatentGrad(x, dm, dv)
+	if allocs := testing.AllocsPerRun(200, func() { m.PredictLatentGrad(x, dm, dv) }); allocs > 1 {
+		t.Fatalf("PredictLatentGrad allocates %.1f objects per call; want ≤ 1", allocs)
 	}
 }

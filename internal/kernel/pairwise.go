@@ -54,16 +54,35 @@ func ProfileOf(k Kernel) PairProfile {
 type seProfile struct {
 	logAmp float64
 	s      []float64 // exp(−log l_i)
+	s2     []float64 // s_i², the input-gradient factor (SEInvSq)
 	scaled []float64 // scratch: (Δ_i/l_i)²
 }
 
 // Profile implements Pairwise.
 func (k *SEARD) Profile() PairProfile {
-	p := &seProfile{logAmp: k.logAmp, s: make([]float64, k.dim), scaled: make([]float64, k.dim)}
+	p := &seProfile{logAmp: k.logAmp, s: make([]float64, k.dim),
+		s2: make([]float64, k.dim), scaled: make([]float64, k.dim)}
 	for i, ls := range k.logScale {
 		p.s[i] = math.Exp(-ls)
+		// Clamped so that a length scale trained towards zero, whose
+		// kernel factor is 0 off the diagonal, contributes 0·s2 = 0 to the
+		// gradient rather than 0·Inf = NaN.
+		p.s2[i] = math.Min(p.s[i]*p.s[i], math.MaxFloat64)
 	}
 	return p
+}
+
+// SEInvSq returns the inverse squared length scales 1/l_i² of an SE-ARD
+// profile, which give its input gradient in closed form:
+//
+//	∂k/∂diff_i = −k · diff_i / l_i².
+//
+// ok is false for every other profile. The slice is owned by the profile.
+func SEInvSq(p PairProfile) (invSq []float64, ok bool) {
+	if se, ok := p.(*seProfile); ok {
+		return se.s2, true
+	}
+	return nil, false
 }
 
 func (p *seProfile) NumHyper() int { return 1 + len(p.s) }

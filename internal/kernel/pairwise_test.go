@@ -175,3 +175,38 @@ func TestSplitNARGPRejectsOtherShapes(t *testing.T) {
 		t.Fatal("SplitNARGP accepted a nil profile")
 	}
 }
+
+// TestSEInvSq checks the input-gradient factors: 1/l_i² of an SE-ARD
+// profile, ∂k/∂diff_i = −k·diff_i·SEInvSq_i against a central difference,
+// finite (clamped) for a length scale trained towards zero, and absent for
+// every other profile.
+func TestSEInvSq(t *testing.T) {
+	k := NewSEARD(3)
+	k.SetHyper([]float64{0.3, -0.5, 0.2, -800})
+	p := k.Profile()
+	s2, ok := SEInvSq(p)
+	if !ok || math.Abs(s2[0]-math.Exp(1)) > 1e-12 || math.Abs(s2[1]-math.Exp(-0.4)) > 1e-12 || s2[2] != math.MaxFloat64 {
+		t.Fatalf("SEInvSq = %v, %v", s2, ok)
+	}
+	k.SetHyper([]float64{0.3, -0.5, 0.2, 0.1})
+	p = k.Profile()
+	s2, _ = SEInvSq(p)
+	diff := []float64{0.4, -0.7, 0.2}
+	v := p.Eval(diff)
+	for i := range diff {
+		const h = 1e-6
+		up := append([]float64(nil), diff...)
+		dn := append([]float64(nil), diff...)
+		up[i] += h
+		dn[i] -= h
+		fd := (p.Eval(up) - p.Eval(dn)) / (2 * h)
+		if got := -v * diff[i] * s2[i]; math.Abs(got-fd) > 1e-8 {
+			t.Fatalf("∂k/∂diff_%d = %v, central difference %v", i, got, fd)
+		}
+	}
+	for name, other := range profileKernels(4) {
+		if _, ok := SEInvSq(ProfileOf(other)); ok != (name == "seard") {
+			t.Fatalf("SEInvSq on %s: ok = %v", name, ok)
+		}
+	}
+}

@@ -99,7 +99,7 @@ func (m *MultiLevel) FitLevel(X [][]float64, y []float64, cfg gp.Config, rng *ra
 	top := len(m.models) - 1
 	Xaug := make([][]float64, len(X))
 	for i, x := range X {
-		mu, _ := m.predictLevel(x, top)
+		mu, _ := m.predictLevel(x, top, nil, nil)
 		Xaug[i] = append(append(make([]float64, 0, m.dim+1), x...), mu)
 	}
 	model, err := gp.Fit(Xaug, y, cfg, rng)
@@ -207,7 +207,7 @@ func (m *MultiLevel) AppendLevel(l int, x []float64, y float64) error {
 	if l == 0 {
 		return m.models[0].AppendObservation(x, y)
 	}
-	mu, _ := m.predictLevel(x, l-1)
+	mu, _ := m.predictLevel(x, l-1, nil, nil)
 	aug := append(append(make([]float64, 0, m.dim+1), x...), mu)
 	return m.models[l].AppendObservation(aug, y)
 }
@@ -227,32 +227,50 @@ func (m *MultiLevel) TruncateLevel(l, n int) error {
 
 // Predict returns the fused posterior at the target (highest) fidelity.
 func (m *MultiLevel) Predict(x []float64) (mean, variance float64) {
-	return m.predictLevel(x, len(m.models)-1)
+	return m.predictLevel(x, len(m.models)-1, nil, nil)
 }
 
 // PredictLevel returns the fused posterior of fidelity level l (0-based).
 func (m *MultiLevel) PredictLevel(x []float64, l int) (mean, variance float64) {
+	return m.PredictLevelGrad(x, l, nil, nil)
+}
+
+// PredictLevelGrad is PredictLevel that also writes the gradients of the
+// fused mean and variance with respect to x into dmean and dvar (len(x)
+// each); nil dmean and dvar skip them. The returned mean and variance are
+// bit-identical to PredictLevel's. Safe for concurrent use; allocates nothing
+// in steady state.
+func (m *MultiLevel) PredictLevelGrad(x []float64, l int, dmean, dvar []float64) (mean, variance float64) {
 	if l < 0 || l >= len(m.models) {
 		panic(fmt.Sprintf("mfgp: level %d out of range [0, %d)", l, len(m.models)))
 	}
-	return m.predictLevel(x, l)
+	return m.predictLevel(x, l, dmean, dvar)
 }
 
 // predictLevel propagates the posterior through levels 1..l with common
 // random numbers (MonteCarlo), shared quadrature nodes (GaussHermite) or the
 // plug-in mean, collapsing to (mean, variance) at each step — the sequential
-// approximation used by recursive NARGP implementations.
-func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
-	mu, va := m.models[0].PredictLatent(x)
+// approximation used by recursive NARGP implementations. With dmean set, the
+// level gradients ride along in the scratch's alternating buffers.
+func (m *MultiLevel) predictLevel(x []float64, l int, dmean, dvar []float64) (float64, float64) {
 	if l == 0 {
-		return mu, va
+		return m.models[0].PredictLatentGrad(x, dmean, dvar)
 	}
 	sc, ok := m.predPool.Get().(*predictScratch)
 	if !ok {
 		sc = new(predictScratch) // node buffers grow on first use
 	}
+	var gm, gv, nm, nv []float64
+	if dmean != nil {
+		gm, gv, nm, nv = sc.levelGrads(len(x))
+	}
+	mu, va := m.models[0].PredictLatentGrad(x, gm, gv)
 	for lev := 1; lev <= l; lev++ {
-		mu, va = propagate(m.models[lev], x, mu, va, m.prop, m.zs[lev-1], m.weights, sc)
+		if lev == l && dmean != nil {
+			nm, nv = dmean, dvar
+		}
+		mu, va = propagate(m.models[lev], x, mu, va, gm, gv, m.prop, m.zs[lev-1], m.weights, sc, nm, nv)
+		gm, gv, nm, nv = nm, nv, gm, gv
 	}
 	m.predPool.Put(sc)
 	return mu, va

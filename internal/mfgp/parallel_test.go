@@ -84,7 +84,7 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 // TestPredictAllocationLean asserts the satellite fix for the augmented-point
 // allocation: after warmup, a fused prediction — of a two-level and of a
 // three-level chain — must run with (near) zero allocations per call thanks
-// to the pooled scratch.
+// to the pooled scratch. The same holds with gradients.
 func TestPredictAllocationLean(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race runtime defeats sync.Pool reuse; alloc counts only hold without -race")
@@ -118,6 +118,10 @@ func TestPredictAllocationLean(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAllocs(t, "two-level Predict", m.Predict)
+			dm, dv := make([]float64, len(x)), make([]float64, len(x))
+			checkAllocs(t, "two-level PredictLevelGrad", func(x []float64) (float64, float64) {
+				return m.PredictLevelGrad(x, 1, dm, dv)
+			})
 			ml, err := FitMultiLevel([][][]float64{Xm, Xl, Xh}, [][]float64{ym, yl, yh}, MultiLevelConfig{
 				MaxIter: 30, Propagation: tc.prop, NumSamples: 10,
 			}, rand.New(rand.NewSource(35)))
@@ -125,6 +129,9 @@ func TestPredictAllocationLean(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAllocs(t, "three-level Predict", ml.Predict)
+			checkAllocs(t, "three-level PredictLevelGrad", func(x []float64) (float64, float64) {
+				return ml.PredictLevelGrad(x, 2, dm, dv)
+			})
 		})
 	}
 }

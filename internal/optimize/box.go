@@ -111,17 +111,6 @@ func (b Box) FromUnconstrained(t []float64) []float64 {
 	return x
 }
 
-// UnconstrainedJacobian returns dx_i/dt_i for the sigmoid reparameterization
-// at unconstrained point t.
-func (b Box) UnconstrainedJacobian(t []float64) []float64 {
-	j := make([]float64, len(t))
-	for i := range t {
-		u := sigmoid(t[i])
-		j[i] = u * (1 - u) * (b.Hi[i] - b.Lo[i])
-	}
-	return j
-}
-
 func sigmoid(t float64) float64 {
 	if t >= 0 {
 		return 1 / (1 + math.Exp(-t))
@@ -130,19 +119,28 @@ func sigmoid(t float64) float64 {
 	return e / (1 + e)
 }
 
-// MinimizeInBox minimizes a gradient-free objective inside the box starting
-// from x0 by running L-BFGS in the logit-reparameterized space with numeric
-// gradients. It returns the best point in original coordinates.
-func MinimizeInBox(f func([]float64) float64, b Box, x0 []float64, cfg LBFGSConfig) Result {
-	inner := NumericalGradient(func(t []float64) float64 {
-		return f(b.FromUnconstrained(t))
-	}, 1e-6)
-	r := LBFGS(inner, b.ToUnconstrained(x0), cfg)
-	if r.X != nil {
-		r.X = b.FromUnconstrained(r.X)
-	} else {
-		r.X = append([]float64(nil), x0...)
-		r.F = f(x0)
+// MinimizeInBox minimizes f inside the box starting from x0 by running
+// L-BFGS in the logit-reparameterized space, x = lo + σ(t)·(hi − lo), and
+// returns the best point in original coordinates. f's gradient in x maps to
+// t through the sigmoid Jacobian ∂x_i/∂t_i = σ(t_i)(1 − σ(t_i))(hi_i − lo_i).
+// The point and gradient buffers handed to f are allocated once per call.
+func MinimizeInBox(f Objective, b Box, x0 []float64, cfg LBFGSConfig) Result {
+	n := len(x0)
+	buf := make([]float64, 2*n)
+	x, gx := buf[:n:n], buf[n:]
+	inner := func(t, gt []float64) float64 {
+		for i := range t {
+			u := sigmoid(t[i])
+			x[i] = b.Lo[i] + u*(b.Hi[i]-b.Lo[i])
+			gt[i] = u * (1 - u) * (b.Hi[i] - b.Lo[i]) // Jacobian, scaled below
+		}
+		v := f(x, gx)
+		for i := range gt {
+			gt[i] = gx[i] * gt[i]
+		}
+		return v
 	}
+	r := LBFGS(inner, b.ToUnconstrained(x0), cfg)
+	r.X = b.FromUnconstrained(r.X)
 	return r
 }

@@ -1,9 +1,8 @@
 // Package optimize provides the numerical optimizers used throughout the
 // library: L-BFGS with a strong-Wolfe line search (hyperparameter training,
-// acquisition maximization), Nelder–Mead (derivative-free fallback), a
-// differential-evolution engine (the DE baseline and GASPAD's proposal pool),
-// and the paper's multiple-starting-point (MSP) driver with incumbent-local
-// seeding (§4.1).
+// acquisition maximization), a differential-evolution engine (the DE
+// baseline and GASPAD's proposal pool), and the paper's
+// multiple-starting-point (MSP) driver with incumbent-local seeding (§4.1).
 package optimize
 
 import (
@@ -13,7 +12,7 @@ import (
 )
 
 // Objective is a scalar function with gradient. The gradient slice is owned
-// by the caller and must be fully overwritten.
+// by the caller, never nil, and must be fully overwritten.
 type Objective func(x []float64, grad []float64) float64
 
 // LBFGSConfig tunes the quasi-Newton minimizer. Zero values select defaults.
@@ -54,27 +53,46 @@ type Result struct {
 }
 
 // LBFGS minimizes f starting from x0 using limited-memory BFGS with a
-// strong-Wolfe cubic line search. x0 is not modified.
+// strong-Wolfe cubic line search. x0 is not modified. Every buffer —
+// iterate, trial point, gradients, search direction and the curvature
+// history — is allocated once per call, so iterations allocate nothing.
 func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 	cfg.defaults()
 	n := len(x0)
-	x := append([]float64(nil), x0...)
-	g := make([]float64, n)
-	evals := 0
-	eval := func(p []float64, grad []float64) float64 {
-		evals++
-		return f(p, grad)
+	mem := cfg.Memory
+	// One slab: the two-loop coefficients, x, g, d, the line search's trial
+	// point and gradient, and mem+1 (s, y) pairs — a ring whose free slot takes each candidate pair
+	// before the curvature test accepts it.
+	slab := make([]float64, (5+2*(mem+1))*n+mem)
+	alphas := slab[:mem:mem]
+	slab = slab[mem:]
+	next := func() []float64 {
+		v := slab[:n:n]
+		slab = slab[n:]
+		return v
 	}
-	fx := eval(x, g)
+	x, g, d := next(), next(), next()
+	copy(x, x0)
+	ls := lineSearch{f: f, p: next(), g: next()}
+	fx := ls.eval(x, g)
 
 	type pair struct {
 		s, y []float64
 		rho  float64
 	}
-	var hist []pair
-	d := make([]float64, n)
+	ring := make([]pair, mem+1)
+	for i := range ring {
+		ring[i].s, ring[i].y = next(), next()
+	}
+	start, count := 0, 0 // history: ring[start], … oldest first, count pairs
+	at := func(i int) *pair { return &ring[(start+i)%len(ring)] }
 	res := Result{}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
+		if !finite(g) {
+			// A non-finite gradient gives no direction: stop at the current point.
+			res.Iters = iter
+			break
+		}
 		if maxAbs(g) < cfg.GradTol {
 			res.Converged = true
 			res.Iters = iter
@@ -82,21 +100,20 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 		}
 		// Two-loop recursion for d = −H·g.
 		copy(d, g)
-		alphas := make([]float64, len(hist))
-		for i := len(hist) - 1; i >= 0; i-- {
-			h := hist[i]
+		for i := count - 1; i >= 0; i-- {
+			h := at(i)
 			alphas[i] = h.rho * linalg.Dot(h.s, d)
 			linalg.AXPY(-alphas[i], h.y, d)
 		}
-		if len(hist) > 0 {
-			last := hist[len(hist)-1]
+		if count > 0 {
+			last := at(count - 1)
 			gamma := linalg.Dot(last.s, last.y) / linalg.Dot(last.y, last.y)
 			for i := range d {
 				d[i] *= gamma
 			}
 		}
-		for i := 0; i < len(hist); i++ {
-			h := hist[i]
+		for i := 0; i < count; i++ {
+			h := at(i)
 			beta := h.rho * linalg.Dot(h.y, d)
 			linalg.AXPY(alphas[i]-beta, h.s, d)
 		}
@@ -110,7 +127,7 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 				d[i] = -g[i]
 			}
 			dg = -linalg.Dot(g, g)
-			hist = hist[:0]
+			count = 0
 		}
 		step0 := cfg.StepInit
 		if iter == 0 {
@@ -119,23 +136,30 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 				step0 = 1 / gn
 			}
 		}
-		xNew, fNew, gNew, ok := wolfeSearch(eval, x, fx, g, d, dg, step0)
+		fNew, ok := ls.wolfe(x, fx, d, dg, step0)
 		if !ok {
 			res.Iters = iter
 			break
 		}
-		s := linalg.SubVec(xNew, x)
-		y := linalg.SubVec(gNew, g)
-		sy := linalg.Dot(s, y)
-		if sy > 1e-12*linalg.Norm2(s)*linalg.Norm2(y) {
-			hist = append(hist, pair{s: s, y: y, rho: 1 / sy})
-			if len(hist) > cfg.Memory {
-				hist = hist[1:]
+		// The accepted point and its gradient are in ls.p and ls.g.
+		cand := at(count)
+		for i := range x {
+			cand.s[i] = ls.p[i] - x[i]
+			cand.y[i] = ls.g[i] - g[i]
+		}
+		sy := linalg.Dot(cand.s, cand.y)
+		if sy > 1e-12*linalg.Norm2(cand.s)*linalg.Norm2(cand.y) {
+			cand.rho = 1 / sy
+			if count == mem {
+				start = (start + 1) % len(ring)
+			} else {
+				count++
 			}
 		}
 		rel := math.Abs(fx-fNew) / math.Max(1, math.Abs(fx))
-		x, fx = xNew, fNew
-		copy(g, gNew)
+		x, ls.p = ls.p, x
+		fx = fNew
+		copy(g, ls.g)
 		if rel < cfg.FuncTol {
 			res.Converged = true
 			res.Iters = iter + 1
@@ -146,103 +170,107 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 	res.X = x
 	res.F = fx
 	res.Gradient = g
-	res.Evals = evals
+	res.Evals = ls.evals
 	return res
 }
 
-// wolfeSearch performs a strong-Wolfe line search along d from x. It returns
-// the accepted point, value and gradient, or ok=false when no acceptable step
-// was found.
-func wolfeSearch(eval func([]float64, []float64) float64,
-	x []float64, fx float64, g, d []float64, dg float64, step0 float64) (xn []float64, fn float64, gn []float64, ok bool) {
+// lineSearch evaluates trial points x + a·d of one L-BFGS run into its own
+// buffers: p holds the most recent trial point and g its gradient, which is
+// always the point a successful search accepts.
+type lineSearch struct {
+	f     Objective
+	p, g  []float64
+	evals int
+}
+
+func (ls *lineSearch) eval(p, grad []float64) float64 {
+	ls.evals++
+	return ls.f(p, grad)
+}
+
+// phi evaluates the trial point at step a and returns f and its directional
+// derivative along d.
+func (ls *lineSearch) phi(x, d []float64, a float64) (float64, float64) {
+	for i := range ls.p {
+		ls.p[i] = x[i] + a*d[i]
+	}
+	f := ls.eval(ls.p, ls.g)
+	return f, linalg.Dot(ls.g, d)
+}
+
+// wolfe performs a strong-Wolfe line search along d from x. On success the
+// accepted point and gradient are left in ls.p and ls.g and their value is
+// returned; ok=false when no acceptable step was found.
+func (ls *lineSearch) wolfe(x []float64, fx float64, d []float64, dg float64, step0 float64) (fn float64, ok bool) {
 	const (
 		c1      = 1e-4
 		c2      = 0.9
 		maxTry  = 30
 		stepMax = 1e10
 	)
-	n := len(x)
-	phi := func(a float64, grad []float64) (float64, float64, []float64) {
-		p := make([]float64, n)
-		for i := range p {
-			p[i] = x[i] + a*d[i]
-		}
-		f := eval(p, grad)
-		return f, linalg.Dot(grad, d), p
-	}
-	aPrev, fPrev, dgPrev := 0.0, fx, dg
+	aPrev, fPrev := 0.0, fx
 	a := step0
-	gTmp := make([]float64, n)
-	var fA, dgA float64
-	var pA []float64
 	for try := 0; try < maxTry; try++ {
-		fA, dgA, pA = phi(a, gTmp)
+		fA, dgA := ls.phi(x, d, a)
 		if math.IsNaN(fA) || math.IsInf(fA, 0) {
 			a = 0.5 * (aPrev + a)
 			continue
 		}
 		if fA > fx+c1*a*dg || (try > 0 && fA >= fPrev) {
-			return zoom(eval, x, fx, dg, d, aPrev, a, fPrev, dgPrev, c1, c2)
+			return ls.zoom(x, fx, dg, d, aPrev, a, fPrev, c1, c2)
 		}
 		if math.Abs(dgA) <= -c2*dg {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
+			return fA, true
 		}
 		if dgA >= 0 {
-			return zoom(eval, x, fx, dg, d, a, aPrev, fA, dgA, c1, c2)
+			return ls.zoom(x, fx, dg, d, a, aPrev, fA, c1, c2)
 		}
-		aPrev, fPrev, dgPrev = a, fA, dgA
+		aPrev, fPrev = a, fA
 		a *= 2
 		if a > stepMax {
 			break
 		}
 	}
-	return nil, 0, nil, false
+	return 0, false
 }
 
 // zoom brackets a Wolfe point in [aLo, aHi] by bisection/interpolation.
-func zoom(eval func([]float64, []float64) float64,
-	x []float64, fx, dg0 float64, d []float64,
-	aLo, aHi, fLo, dgLo, c1, c2 float64) (xn []float64, fn float64, gn []float64, ok bool) {
-	n := len(x)
-	gTmp := make([]float64, n)
-	phi := func(a float64) (float64, float64, []float64) {
-		p := make([]float64, n)
-		for i := range p {
-			p[i] = x[i] + a*d[i]
-		}
-		f := eval(p, gTmp)
-		return f, linalg.Dot(gTmp, d), p
-	}
+func (ls *lineSearch) zoom(x []float64, fx, dg0 float64, d []float64,
+	aLo, aHi, fLo, c1, c2 float64) (fn float64, ok bool) {
 	for try := 0; try < 30; try++ {
 		a := 0.5 * (aLo + aHi)
-		fA, dgA, pA := phi(a)
+		fA, dgA := ls.phi(x, d, a)
 		if math.IsNaN(fA) || fA > fx+c1*a*dg0 || fA >= fLo {
 			aHi = a
 			continue
 		}
 		if math.Abs(dgA) <= -c2*dg0 {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
+			return fA, true
 		}
 		if dgA*(aHi-aLo) >= 0 {
 			aHi = aLo
 		}
 		aLo, fLo = a, fA
 		if math.Abs(aHi-aLo) < 1e-14*(1+math.Abs(aLo)) {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
+			return fA, true
 		}
 	}
 	// Accept the best sufficient-decrease point found, if any.
 	if aLo > 0 {
-		fA, _, pA := phi(aLo)
-		if fA < fx {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
+		if fA, _ := ls.phi(x, d, aLo); fA < fx {
+			return fA, true
 		}
 	}
-	return nil, 0, nil, false
+	return 0, false
+}
+
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func maxAbs(v []float64) float64 {
@@ -253,26 +281,4 @@ func maxAbs(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// NumericalGradient wraps a gradient-free function into an Objective using
-// central finite differences with step h (default 1e-6 when h <= 0).
-func NumericalGradient(f func([]float64) float64, h float64) Objective {
-	if h <= 0 {
-		h = 1e-6
-	}
-	return func(x, grad []float64) float64 {
-		fx := f(x)
-		p := append([]float64(nil), x...)
-		for i := range x {
-			save := p[i]
-			p[i] = save + h
-			up := f(p)
-			p[i] = save - h
-			dn := f(p)
-			p[i] = save
-			grad[i] = (up - dn) / (2 * h)
-		}
-		return fx
-	}
 }

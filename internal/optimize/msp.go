@@ -21,7 +21,6 @@ type MSPConfig struct {
 	FracLow   float64 // fraction seeded near IncumbentLow (default 0.1)
 	SigmaFrac float64 // ball std as a fraction of each box width (default 0.02)
 	LocalIter int     // local refinement iterations per start (default 60)
-	UseNM     bool    // use Nelder–Mead instead of L-BFGS for local refinement
 	// Extra starting points appended verbatim (clipped to the box). The BO
 	// loop passes the low-fidelity acquisition optimum here (Algorithm 1,
 	// line 6: the high-fidelity acquisition is optimized "based on x*_l").
@@ -41,15 +40,15 @@ type MSPConfig struct {
 }
 
 // MSPStats records what one MaximizeMSP run did: how many local searches
-// started, how many objective evaluations they made, how many diverged to a
-// non-finite value (and were discarded by the argmax), which start won, and
-// the winning acquisition value. The MFBO loop surfaces these in its
-// per-iteration telemetry events so a stuck MSP search is visible at
-// runtime; Evals against the span's duration gives the cost of one
-// acquisition evaluation.
+// started, how many objective evaluations (each a value with its gradient)
+// they made, how many diverged to a non-finite value (and were discarded by
+// the argmax), which start won, and the winning acquisition value. The MFBO
+// loop surfaces these in its per-iteration telemetry events so a stuck MSP
+// search is visible at runtime; Evals against the span's duration gives the
+// cost of one value-plus-gradient acquisition evaluation.
 type MSPStats struct {
 	Starts    int     // local searches launched (incumbent/uniform/Extra)
-	Evals     int     // objective evaluations, fallback included
+	Evals     int     // value+gradient evaluations, fallback included
 	Diverged  int     // starts whose refined value was NaN/±Inf
 	BestStart int     // index of the winning start (-1 = total-divergence fallback)
 	BestF     float64 // maximized objective value
@@ -73,8 +72,9 @@ func (c *MSPConfig) defaults() {
 	}
 }
 
-// MaximizeMSP maximizes f over the box using the multiple-starting-point
-// strategy. incumbentHigh and incumbentLow may be nil when no incumbent is
+// MaximizeMSP maximizes f, a value with its gradient, over the box using the
+// multiple-starting-point strategy: each start is refined by L-BFGS through
+// MinimizeInBox. incumbentHigh and incumbentLow may be nil when no incumbent is
 // known yet (their start-point shares then fall back to uniform sampling).
 // It returns the best point found and its objective value.
 //
@@ -85,7 +85,7 @@ func (c *MSPConfig) defaults() {
 // the worker count. Non-finite local-search results (a diverged L-BFGS run)
 // are discarded so they can never win the argmax; if every start diverges,
 // the raw objective at the first start is returned as a safe fallback.
-func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
+func MaximizeMSP(rng *rand.Rand, f Objective, box Box,
 	incumbentHigh, incumbentLow []float64, cfg MSPConfig) ([]float64, float64) {
 	cfg.defaults()
 	span := cfg.Span.Child("optimize.msp")
@@ -103,23 +103,15 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 		// Each start counts its own evaluations; the counts are summed in
 		// start order below, independent of the worker schedule.
 		evals := 0
-		neg := func(x []float64) float64 {
+		neg := func(x, grad []float64) float64 {
 			evals++
-			return -f(x)
+			v := f(x, grad)
+			for j := range grad {
+				grad[j] = -grad[j]
+			}
+			return -v
 		}
-		var r Result
-		if cfg.UseNM {
-			r = NelderMead(func(x []float64) float64 {
-				if !box.Contains(x) {
-					x = box.Clip(x)
-				}
-				return neg(x)
-			}, s, NelderMeadConfig{MaxIter: cfg.LocalIter * len(s)})
-			r.X = box.Clip(r.X)
-			r.F = neg(r.X)
-		} else {
-			r = MinimizeInBox(neg, box, s, LBFGSConfig{MaxIter: cfg.LocalIter})
-		}
+		r := MinimizeInBox(neg, box, s, LBFGSConfig{MaxIter: cfg.LocalIter})
 		results[i] = local{x: r.X, f: -r.F, evals: evals}
 	})
 	var bestX []float64
@@ -143,7 +135,7 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 		// the common path no longer pays the duplicated f(starts[0]) call
 		// that the local search from starts[0] subsumes.
 		bestX = box.Clip(starts[0])
-		bestF = f(bestX)
+		bestF = f(bestX, make([]float64, len(bestX)))
 		evals++
 	}
 	if cfg.Stats != nil {

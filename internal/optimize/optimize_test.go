@@ -89,32 +89,6 @@ func TestNumericalGradientMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestNelderMeadQuadratic(t *testing.T) {
-	f := func(x []float64) float64 {
-		return (x[0]-2)*(x[0]-2) + (x[1]+1)*(x[1]+1) + 3
-	}
-	r := NelderMead(f, []float64{0, 0}, NelderMeadConfig{})
-	if math.Abs(r.X[0]-2) > 1e-3 || math.Abs(r.X[1]+1) > 1e-3 {
-		t.Fatalf("NM solution %v", r.X)
-	}
-	if math.Abs(r.F-3) > 1e-5 {
-		t.Fatalf("NM value %v, want 3", r.F)
-	}
-}
-
-func TestNelderMeadHandlesNaN(t *testing.T) {
-	f := func(x []float64) float64 {
-		if x[0] < 0 {
-			return math.NaN()
-		}
-		return (x[0] - 1) * (x[0] - 1)
-	}
-	r := NelderMead(f, []float64{2}, NelderMeadConfig{})
-	if math.Abs(r.X[0]-1) > 1e-3 {
-		t.Fatalf("NM with NaN region: %v", r.X)
-	}
-}
-
 func TestBoxBasics(t *testing.T) {
 	b := NewBox([]float64{0, -1}, []float64{1, 1})
 	if !b.Contains([]float64{0.5, 0}) || b.Contains([]float64{2, 0}) {
@@ -185,7 +159,10 @@ func TestMinimizeInBoxRespectsBounds(t *testing.T) {
 	// Unconstrained minimum at 5, but box caps at 1: solution should push to
 	// the upper boundary.
 	b := NewBox([]float64{0}, []float64{1})
-	f := func(x []float64) float64 { return (x[0] - 5) * (x[0] - 5) }
+	f := func(x, grad []float64) float64 {
+		grad[0] = 2 * (x[0] - 5)
+		return (x[0] - 5) * (x[0] - 5)
+	}
 	r := MinimizeInBox(f, b, []float64{0.5}, LBFGSConfig{MaxIter: 100})
 	if r.X[0] < 0.99 || r.X[0] > 1 {
 		t.Fatalf("boundary solution %v, want ≈1", r.X)
@@ -194,8 +171,11 @@ func TestMinimizeInBoxRespectsBounds(t *testing.T) {
 
 func TestMaximizeMSPFindsGlobalAmongLocals(t *testing.T) {
 	// Two-peak function: taller peak at 0.8, shorter at 0.2.
-	f := func(x []float64) float64 {
-		return math.Exp(-100*(x[0]-0.8)*(x[0]-0.8)) + 0.5*math.Exp(-100*(x[0]-0.2)*(x[0]-0.2))
+	f := func(x, grad []float64) float64 {
+		a := math.Exp(-100 * (x[0] - 0.8) * (x[0] - 0.8))
+		b := 0.5 * math.Exp(-100*(x[0]-0.2)*(x[0]-0.2))
+		grad[0] = -200*(x[0]-0.8)*a - 200*(x[0]-0.2)*b
+		return a + b
 	}
 	b := NewBox([]float64{0}, []float64{1})
 	rng := rand.New(rand.NewSource(1))
@@ -209,12 +189,14 @@ func TestMaximizeMSPSeedsNearIncumbent(t *testing.T) {
 	// A very narrow peak at the incumbent that uniform sampling is unlikely
 	// to hit with few starts; incumbent-local seeding should find it.
 	peak := []float64{0.513}
-	f := func(x []float64) float64 {
-		return math.Exp(-1e6 * (x[0] - peak[0]) * (x[0] - peak[0]))
+	f := func(x, grad []float64) float64 {
+		v := math.Exp(-1e6 * (x[0] - peak[0]) * (x[0] - peak[0]))
+		grad[0] = -2e6 * (x[0] - peak[0]) * v
+		return v
 	}
 	b := NewBox([]float64{0}, []float64{1})
 	rng := rand.New(rand.NewSource(2))
-	_, v := MaximizeMSP(rng, f, b, peak, nil, MSPConfig{Starts: 10, SigmaFrac: 0.001, UseNM: true})
+	_, v := MaximizeMSP(rng, f, b, peak, nil, MSPConfig{Starts: 10, SigmaFrac: 0.001})
 	if v < 0.5 {
 		t.Fatalf("incumbent seeding failed to find the narrow peak: f=%v", v)
 	}
@@ -297,5 +279,137 @@ func TestDEInitSeeding(t *testing.T) {
 	_, v := DE(rng, f, b, DEConfig{PopSize: 8, MaxGen: 3, Init: [][]float64{opt}})
 	if v > 1e-12 {
 		t.Fatalf("seeded optimum lost: f=%v", v)
+	}
+}
+
+// NumericalGradient wraps a gradient-free function into an Objective using
+// central finite differences with step h (default 1e-6 when h <= 0): the
+// finite-difference oracle for the closed-form gradients handed to the
+// optimizers.
+func NumericalGradient(f func([]float64) float64, h float64) Objective {
+	if h <= 0 {
+		h = 1e-6
+	}
+	return func(x, grad []float64) float64 {
+		fx := f(x)
+		p := append([]float64(nil), x...)
+		for i := range x {
+			save := p[i]
+			p[i] = save + h
+			up := f(p)
+			p[i] = save - h
+			dn := f(p)
+			p[i] = save
+			grad[i] = (up - dn) / (2 * h)
+		}
+		return fx
+	}
+}
+
+// bumpy is a separable multimodal objective with its analytic gradient.
+func bumpy(x, grad []float64) float64 {
+	v := 0.0
+	for i := range x {
+		v += math.Sin(3*x[i]) + 0.2*x[i]*x[i]
+		grad[i] = 3*math.Cos(3*x[i]) + 0.4*x[i]
+	}
+	return v
+}
+
+// TestLBFGSMatchesReferenceBits pins L-BFGS and MinimizeInBox to results
+// recorded from the implementation that allocated its trial points, history
+// pairs and two-loop coefficients per iteration: reusing per-search buffers
+// must not move a single bit. The box case is the reference's L-BFGS over
+// f∘FromUnconstrained with the gradient scaled by the sigmoid Jacobian
+// u(1−u)(hi−lo).
+func TestLBFGSMatchesReferenceBits(t *testing.T) {
+	rosen := func(x, g []float64) float64 {
+		a, b := 1-x[0], x[1]-x[0]*x[0]
+		g[0] = -2*a - 400*x[0]*b
+		g[1] = 200 * b
+		return a*a + 100*b*b
+	}
+	box := NewBox([]float64{-2, 0, -1}, []float64{2, 3, 1})
+	for _, c := range []struct {
+		name   string
+		run    func() Result
+		x      []uint64
+		f      uint64
+		iters  int
+		evals  int
+		conved bool
+	}{
+		{"rosenbrock", func() Result { return LBFGS(rosen, []float64{-1.2, 1}, LBFGSConfig{}) },
+			[]uint64{0x3ff0000000f7ec0d, 0x3ff0000001d5bcf9}, 0x3c7fa51888bba0d0, 34, 46, true},
+		{"rosenbrock-memory3", func() Result { return LBFGS(rosen, []float64{-1.2, 1}, LBFGSConfig{Memory: 3, MaxIter: 40}) },
+			[]uint64{0x3fefffff5bc17142, 0x3fefffff1f31d605}, 0x3d90d0affa1bebd0, 35, 59, true},
+		{"bumpy", func() Result { return LBFGS(bumpy, []float64{0.3, -1.1, 2.0}, LBFGSConfig{MaxIter: 30}) },
+			[]uint64{0xbfe00aaac7d67980, 0xbfe00aaab73dafe1, 0x3ff80e6869591d91}, 0xc00361786ca61f15, 8, 9, true},
+		{"box-bumpy", func() Result { return MinimizeInBox(bumpy, box, []float64{0.3, 1.1, 0.5}, LBFGSConfig{MaxIter: 30}) },
+			[]uint64{0xbfe00aaaa04f5460, 0x3ff80e67f83a153f, 0xbfe00aa8d7808cb4}, 0xc00361786ca5fd87, 13, 20, true},
+	} {
+		r := c.run()
+		for i, b := range c.x {
+			if math.Float64bits(r.X[i]) != b {
+				t.Fatalf("%s: x[%d] = %v, reference %v", c.name, i, r.X[i], math.Float64frombits(b))
+			}
+		}
+		if math.Float64bits(r.F) != c.f || r.Iters != c.iters || r.Evals != c.evals || r.Converged != c.conved {
+			t.Fatalf("%s: F=%v iters=%d evals=%d converged=%v, reference F=%v iters=%d evals=%d converged=%v",
+				c.name, r.F, r.Iters, r.Evals, r.Converged, math.Float64frombits(c.f), c.iters, c.evals, c.conved)
+		}
+	}
+}
+
+// TestMinimizeInBoxAllocations pins the per-search buffers: a local search
+// allocates the same handful of objects (the L-BFGS slab and history ring,
+// the box's point/gradient buffer and closure, start and result vectors)
+// whether it runs 2 iterations or 30 — nothing per iteration or evaluation.
+func TestMinimizeInBoxAllocations(t *testing.T) {
+	box := NewBox([]float64{-2, 0, -1}, []float64{2, 3, 1})
+	x0 := []float64{0.3, 1.1, 0.5}
+	var counts []float64
+	for _, iters := range []int{2, 30} {
+		counts = append(counts, testing.AllocsPerRun(50, func() {
+			MinimizeInBox(bumpy, box, x0, LBFGSConfig{MaxIter: iters})
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] > 6 {
+		t.Fatalf("MinimizeInBox allocates %v objects for 2 and 30 iterations; want the same ≤ 6", counts)
+	}
+}
+
+// TestMinimizeInBoxChainRule checks the sigmoid chain rule: the gradient
+// L-BFGS sees in the unconstrained space (Result.Gradient, after a few
+// iterations away from the optimum) matches central differences of
+// t ↦ f(FromUnconstrained(t)).
+func TestMinimizeInBoxChainRule(t *testing.T) {
+	box := NewBox([]float64{-2, 0, -1}, []float64{2, 3, 1})
+	r := MinimizeInBox(bumpy, box, []float64{0.3, 1.1, 0.5}, LBFGSConfig{MaxIter: 2})
+	g := make([]float64, 3)
+	want := NumericalGradient(func(u []float64) float64 { return bumpy(box.FromUnconstrained(u), g) }, 1e-6)
+	fd := make([]float64, 3)
+	want(box.ToUnconstrained(r.X), fd)
+	for i := range fd {
+		if math.Abs(r.Gradient[i]-fd[i]) > 1e-6*math.Max(math.Abs(fd[i]), 1e-3) {
+			t.Fatalf("t-space gradient %v, central difference %v", r.Gradient, fd)
+		}
+	}
+}
+
+// TestLBFGSStopsOnNonFiniteGradient covers an objective whose value stays
+// finite where its gradient does not (a max(0, µ) surface reads a NaN mean
+// as 0): L-BFGS must stop at the current point instead of stepping along a
+// NaN direction into a NaN point.
+func TestLBFGSStopsOnNonFiniteGradient(t *testing.T) {
+	f := func(x, grad []float64) float64 {
+		for i := range grad {
+			grad[i] = math.NaN()
+		}
+		return math.Max(0, x[0]+x[1])
+	}
+	r := MinimizeInBox(f, NewBox([]float64{0, 0}, []float64{1, 1}), []float64{0.25, 0.5}, LBFGSConfig{MaxIter: 10})
+	if r.Converged || r.Iters != 0 || math.Abs(r.X[0]-0.25) > 1e-12 || math.Abs(r.X[1]-0.5) > 1e-12 {
+		t.Fatalf("NaN gradient: x=%v iters=%d converged=%v, want the start after 0 iterations", r.X, r.Iters, r.Converged)
 	}
 }

@@ -9,7 +9,9 @@ import (
 
 // multimodal is a 2-D surface with many local maxima — the worst case for a
 // worker-count-dependent argmax.
-func multimodal(x []float64) float64 {
+func multimodal(x, grad []float64) float64 {
+	grad[0] = 5*math.Cos(5*x[0])*math.Cos(4*x[1]) - 0.2*x[0]
+	grad[1] = -4*math.Sin(5*x[0])*math.Sin(4*x[1]) - 0.2*x[1]
 	return math.Sin(5*x[0])*math.Cos(4*x[1]) - 0.1*(x[0]*x[0]+x[1]*x[1])
 }
 
@@ -23,9 +25,9 @@ func TestMaximizeMSPParallelDeterminism(t *testing.T) {
 		run := func(workers int) ([]float64, float64, MSPStats) {
 			rng := rand.New(rand.NewSource(seed))
 			var calls atomic.Int64
-			f := func(x []float64) float64 {
+			f := func(x, grad []float64) float64 {
 				calls.Add(1)
-				return multimodal(x)
+				return multimodal(x, grad)
 			}
 			var st MSPStats
 			x, v := MaximizeMSP(rng, f, box, []float64{0.3, -0.2}, nil,
@@ -59,8 +61,11 @@ func TestMaximizeMSPAllDivergedFallsBack(t *testing.T) {
 	box := NewBox([]float64{0, 0}, []float64{1, 1})
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int64
-		nan := func(x []float64) float64 {
+		nan := func(x, grad []float64) float64 {
 			calls.Add(1)
+			for i := range grad {
+				grad[i] = math.NaN()
+			}
 			return math.NaN()
 		}
 		rng := rand.New(rand.NewSource(6))
