@@ -62,30 +62,6 @@ func EIGrad(mu, sigma2, tau float64) (ei, dmu, dsigma2 float64) {
 	return sigma * (lambda*cdf + pdf), -cdf, pdf / (2 * sigma)
 }
 
-// LogEI returns log(EI) computed stably for very negative λ, where EI
-// underflows; useful when comparing tiny acquisition values far from the
-// incumbent.
-func LogEI(mu, sigma2, tau float64) float64 {
-	sigma := math.Sqrt(math.Max(sigma2, 0))
-	if sigma < 1e-12 {
-		imp := tau - mu
-		if imp <= 0 {
-			return math.Inf(-1)
-		}
-		return math.Log(imp)
-	}
-	lambda := (tau - mu) / sigma
-	if lambda > -6 {
-		v := lambda*stats.NormCDF(lambda) + stats.NormPDF(lambda)
-		if v <= 0 {
-			return math.Inf(-1)
-		}
-		return math.Log(sigma) + math.Log(v)
-	}
-	// Tail: EI ≈ σ·φ(λ)/λ² for λ → −∞ (from the asymptotics of Mills ratio).
-	return math.Log(sigma) - 0.5*lambda*lambda - 0.5*math.Log(2*math.Pi) - 2*math.Log(-lambda)
-}
-
 // PF returns the probability of feasibility Φ(−µ/σ) of a constraint modelled
 // as c(x) ~ N(mu, sigma2) with feasibility c(x) < 0. A deterministic
 // posterior (σ≈0) returns a hard 0/1 indicator.
@@ -176,34 +152,15 @@ func WEI(obj Posterior, cons []Posterior, tau float64) func(x, grad []float64) f
 	}
 }
 
-// PFOnly builds the pure feasibility-seeking acquisition Π_i PF_i(x), used
-// when no feasible incumbent exists yet and EI is undefined; gradients as
-// for WEI.
-func PFOnly(cons []Posterior) func(x, grad []float64) float64 {
-	var pool gradPool
-	return func(x, grad []float64) float64 {
-		if grad == nil {
-			return weightByPF(1, x, nil, cons, nil)
-		}
-		for t := range grad {
-			grad[t] = 0
-		}
-		b := pool.get(len(x))
-		a := weightByPF(1, x, grad, cons, b)
-		pool.put(b)
-		return a
-	}
+// UCB returns the upper confidence bound µ + β·σ.
+func UCB(mu, sigma2, beta float64) float64 {
+	return mu + beta*math.Sqrt(math.Max(sigma2, 0))
 }
 
 // LCB returns the lower confidence bound µ − β·σ (for minimization); GASPAD
 // uses it for prescreening evolutionary candidates.
 func LCB(mu, sigma2, beta float64) float64 {
 	return mu - beta*math.Sqrt(math.Max(sigma2, 0))
-}
-
-// UCB returns the upper confidence bound µ + β·σ.
-func UCB(mu, sigma2, beta float64) float64 {
-	return mu + beta*math.Sqrt(math.Max(sigma2, 0))
 }
 
 // FeasibilityObjective builds the §4.2 bootstrap objective (eq. 13)

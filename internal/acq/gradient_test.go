@@ -97,7 +97,7 @@ func smoothPosterior(a, b, s float64) Posterior {
 }
 
 // TestAcquisitionGradientsMatchFiniteDifference runs wEI (with zero, one
-// and two constraints), PFOnly and the §4.2 FeasibilityObjective (and its
+// and two constraints) and the §4.2 FeasibilityObjective (and its
 // negation) through the central-difference oracle on smooth posteriors,
 // including points in wEI's λ > 40 and λ < −40 tails, and checks that each
 // value returned with a gradient equals the value-only call bit for bit.
@@ -115,7 +115,6 @@ func TestAcquisitionGradientsMatchFiniteDifference(t *testing.T) {
 		{"wEI-2", WEI(obj, []Posterior{c1, c2}, -0.2)},
 		{"wEI-lambda>40", WEI(tail, []Posterior{c1}, 3)},
 		{"wEI-lambda<-40", WEI(tail, []Posterior{c1}, -3)},
-		{"PFOnly", PFOnly([]Posterior{c1, c2})},
 		{"feasibility", FeasibilityObjective([]Posterior{c1, c2, obj})},
 		{"negated-feasibility", Negated(FeasibilityObjective([]Posterior{c1, c2, obj}))},
 	}

@@ -81,19 +81,6 @@ func (d *ISource) StampAC(a *ACAsm) {
 	a.addB(d.b, v)
 }
 
-// StampAC implements acStamper for Diode: small-signal conductance at the
-// operating point.
-func (d *Diode) StampAC(a *ACAsm) {
-	v := nodeVoltage(a.OP, d.a) - nodeVoltage(a.OP, d.b)
-	nvt := d.P.N * d.P.VT
-	arg := v / nvt
-	if arg > 40 {
-		arg = 40
-	}
-	g := d.P.IS * math.Exp(arg) / nvt
-	a.stampAdmittance(d.a, d.b, complex(g, 0))
-}
-
 // StampAC implements acStamper for MOSFET: gm/gds linearization at the
 // operating point (quasi-static, no capacitances — add explicit C devices
 // for frequency-dependent transistor behaviour).
@@ -156,11 +143,6 @@ func (r *ACResult) V(node string, k int) complex128 {
 		return 0
 	}
 	return r.Data[k][idx]
-}
-
-// MagDB returns 20·log10|V(node)| at sweep index k.
-func (r *ACResult) MagDB(node string, k int) float64 {
-	return 20 * math.Log10(cmplx.Abs(r.V(node, k)))
 }
 
 // PhaseDeg returns the phase of V(node) at sweep index k in degrees.

@@ -86,42 +86,6 @@ func TestCapacitorIsDCOpen(t *testing.T) {
 	}
 }
 
-func TestDiodeForwardDrop(t *testing.T) {
-	c := New()
-	c.AddVSource("V1", "a", Ground, DC(5))
-	c.AddResistor("R1", "a", "d", 1e3)
-	c.AddDiode("D1", "d", Ground, DiodeParams{})
-	sol, err := NewSim(c).DC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vd := sol.V("d")
-	if vd < 0.5 || vd > 0.8 {
-		t.Fatalf("diode forward drop %v outside [0.5, 0.8]", vd)
-	}
-	// KCL check: resistor current equals diode current.
-	d := c.Device("D1").(*Diode)
-	r := c.Device("R1").(*Resistor)
-	if math.Abs(d.Current(sol.X)-r.Current(sol.X)) > 1e-9 {
-		t.Fatal("KCL violated at diode node")
-	}
-}
-
-func TestDiodeReverseBlocks(t *testing.T) {
-	c := New()
-	c.AddVSource("V1", "a", Ground, DC(-5))
-	c.AddResistor("R1", "a", "d", 1e3)
-	c.AddDiode("D1", "d", Ground, DiodeParams{})
-	sol, err := NewSim(c).DC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reverse-biased: node d sits at nearly the full source voltage.
-	if got := sol.V("d"); math.Abs(got+5) > 1e-3 {
-		t.Fatalf("reverse diode node = %v, want ≈ -5", got)
-	}
-}
-
 func TestNMOSSaturationCurrent(t *testing.T) {
 	// Vgs = 1.0, VTH = 0.4, KP·W/L = 200µ·10 → Id = ½·2m·0.36 = 0.36 mA
 	// (λ = 0).

@@ -244,56 +244,6 @@ func (w *Waveforms) BranchCurrent(name string) ([]float64, error) {
 	return out, nil
 }
 
-// SourceCurrent returns the branch-current waveform of a named voltage
-// source or inductor, panicking on a missing or unsuitable device. Thin
-// wrapper over BranchCurrent for internal callers with static names.
-func (w *Waveforms) SourceCurrent(name string) []float64 {
-	out, err := w.BranchCurrent(name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// TerminalCurrent returns the current waveform of a named resistor, diode or
-// MOSFET (computed from terminal voltages), or an error for a missing or
-// unsuitable device.
-func (w *Waveforms) TerminalCurrent(name string) ([]float64, error) {
-	d := w.sim.ckt.Device(name)
-	if d == nil {
-		return nil, fmt.Errorf("circuit: unknown device %q", name)
-	}
-	out := make([]float64, len(w.Data))
-	switch dev := d.(type) {
-	case *Resistor:
-		for k, x := range w.Data {
-			out[k] = dev.Current(x)
-		}
-	case *Diode:
-		for k, x := range w.Data {
-			out[k] = dev.Current(x)
-		}
-	case *MOSFET:
-		for k, x := range w.Data {
-			out[k] = dev.Current(x)
-		}
-	default:
-		return nil, fmt.Errorf("circuit: %q has no terminal-current accessor", name)
-	}
-	return out, nil
-}
-
-// DeviceCurrent returns the current waveform of a named resistor, diode or
-// MOSFET, panicking on a missing or unsuitable device. Thin wrapper over
-// TerminalCurrent for internal callers with static names.
-func (w *Waveforms) DeviceCurrent(name string) []float64 {
-	out, err := w.TerminalCurrent(name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
 // Dt returns the (fixed) timestep of the waveform set.
 func (w *Waveforms) Dt() float64 {
 	if len(w.Times) < 2 {

@@ -56,12 +56,13 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/problem"
 	"repro/internal/robust"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
 // Config tunes the optimizer. Zero values select the paper's settings where
-// the paper specifies them (γ = 0.01, MSP fractions 40 %/10 %).
+// the paper specifies them (γ = 0.01, MSP fractions 40 %/10 %). Every rung's
+// initialization design is a Latin hypercube (stats.LatinHypercube) drawn
+// from the run's rng; the sampler is not configurable.
 type Config struct {
 	// Budget is the total simulation budget in equivalent high-fidelity
 	// simulations (required, > 0). Initialization cost counts against it.
@@ -136,10 +137,6 @@ type Config struct {
 	MaxIterations int
 	// Callback, when non-nil, observes every simulation as it happens.
 	Callback func(Observation)
-	// InitSampler generates the initialization designs (default
-	// stats.LatinHypercube; doe.SobolInBox / doe.HaltonInBox / doe.Auto are
-	// drop-in alternatives).
-	InitSampler func(rng *rand.Rand, lo, hi []float64, n int) [][]float64
 	// Checkpointer, when non-nil, receives a full state snapshot after the
 	// initialization phase and after every adaptive iteration. Use
 	// FileCheckpointer for atomic JSON-on-disk persistence; a non-nil error
@@ -209,9 +206,6 @@ func (c *Config) defaults() error {
 	if c.FixedNoise == nil {
 		v := 1e-4
 		c.FixedNoise = &v
-	}
-	if c.InitSampler == nil {
-		c.InitSampler = stats.LatinHypercube
 	}
 	if c.MSP.Workers == 0 {
 		c.MSP.Workers = c.Workers

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/doe"
 	"repro/internal/fidelity"
 	"repro/internal/mfgp"
 	"repro/internal/optimize"
@@ -254,28 +253,6 @@ func TestRefitEveryStillWorks(t *testing.T) {
 	}
 }
 
-func TestInitSamplerPluggable(t *testing.T) {
-	p := testfunc.Forrester()
-	rng := rand.New(rand.NewSource(16))
-	cfg := fastCfg(8)
-	cfg.InitSampler = doe.SobolInBox
-	res, err := Optimize(p, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumLow < cfg.InitLow || res.NumHigh < cfg.InitHigh {
-		t.Fatal("Sobol initialization missing points")
-	}
-	// High-dimensional automatic fallback (Halton) also works.
-	cp := testfunc.ParkMF()
-	rng = rand.New(rand.NewSource(17))
-	cfg = fastCfg(6)
-	cfg.InitSampler = doe.Auto
-	if _, err := Optimize(cp, cfg, rng); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxIterationsBoundsLoop(t *testing.T) {
 	p := testfunc.Pedagogical()
 	rng := rand.New(rand.NewSource(14))
@@ -352,7 +329,7 @@ func TestBestOfOrdering(t *testing.T) {
 }
 
 func TestIsDuplicate(t *testing.T) {
-	ladder, err := fidelity.TwoLevel(0.1)
+	ladder, err := fidelity.FromCosts([]float64{0.1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestChooseRungDecisions(t *testing.T) {
 	}
 	// ForceHighFidelity short-circuits to the target rung without a variance
 	// comparison.
-	ladder, err := fidelity.TwoLevel(0.1)
+	ladder, err := fidelity.FromCosts([]float64{0.1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Rung struct {
 }
 
 // Ladder is an immutable ordered list of fidelity rungs. The zero value is
-// invalid; construct one with New, TwoLevel, FromCosts or OfProblem.
+// invalid; construct one with New, FromCosts or OfProblem.
 type Ladder struct {
 	rungs []Rung
 }
@@ -65,12 +65,6 @@ func FromCosts(costs []float64) (Ladder, error) {
 		rungs[k] = Rung{Name: rungName(k, len(costs)), Cost: c}
 	}
 	return New(rungs)
-}
-
-// TwoLevel is the paper's two-fidelity ladder: rung 0 ("low") at relative
-// cost gamma, rung 1 ("high") at cost 1.
-func TwoLevel(gamma float64) (Ladder, error) {
-	return FromCosts([]float64{gamma, 1})
 }
 
 // rungName matches the legacy two-fidelity vocabulary at the extremes so that

@@ -32,7 +32,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestTwoLevelNamesAndCosts(t *testing.T) {
-	l, err := TwoLevel(0.1)
+	l, err := FromCosts([]float64{0.1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,16 +125,15 @@ type Model struct {
 // evaluation: the standardized query point, the cross-covariance row, the
 // forward-solve vector, a difference vector for the kernel profile, and the
 // profile itself (profiles carry scratch and must not be shared across
-// goroutines). When the profile is the eq. (9) kernel, nargp holds its split
-// and k2/k3 the design-only kernel rows PredictLatentAugmented reuses across
+// goroutines). When the profile is the eq. (9) kernel, nargp holds it split
+// into factors and k2/k3 the design-only kernel rows PredictLatentAugmented reuses across
 // nodes; aug is the augmented point of its per-node fallback. The gradient
 // path adds the variance weights u, the per-node k1 row, the design
 // differences dx (rows × d), and per-coordinate accumulators.
 type predictScratch struct {
 	x, ks, v, diff, aug []float64
 	prof                kernel.PairProfile
-	nargp               kernel.NARGPProfile
-	nargpOK             bool
+	nargp               *kernel.NARGPProfile // nil for SE-ARD
 	k2, k3              []float64
 	u, k1, dx           []float64
 	gm, gv, am, av, a3  []float64
@@ -154,11 +153,9 @@ func (m *Model) getPredictScratch() *predictScratch {
 		am:   make([]float64, d),
 		av:   make([]float64, d),
 		a3:   make([]float64, d),
-		prof: kernel.ProfileOf(m.kern), // nil for non-Pairwise kernels
+		prof: m.kern.Profile(),
 	}
-	if sc.prof != nil {
-		sc.nargp, sc.nargpOK = kernel.SplitNARGP(sc.prof, d)
-	}
+	sc.nargp, _ = sc.prof.(*kernel.NARGPProfile)
 	sc.grow(len(m.xs))
 	return sc
 }
@@ -172,7 +169,7 @@ func (sc *predictScratch) grow(n int) {
 	sc.ks = make([]float64, n)
 	sc.v = make([]float64, n)
 	sc.u = make([]float64, n)
-	if sc.nargpOK {
+	if sc.nargp != nil {
 		sc.k1 = make([]float64, n)
 		sc.k2 = make([]float64, n)
 		sc.k3 = make([]float64, n)
@@ -425,29 +422,21 @@ func (m *Model) toStdXInto(x, out []float64) {
 
 // factorize builds the Cholesky of K + σ_n²I and the alpha vector for the
 // current hyperparameters, using the kernel's pair profile (hyperparameter
-// transcendentals hoisted out of the O(n²) loop) when available.
+// transcendentals hoisted out of the O(n²) loop).
 func (m *Model) factorize() error {
 	n := len(m.xs)
 	K := linalg.NewMatrix(n, n)
 	noise2 := math.Exp(2 * m.logNoise)
-	prof := kernel.ProfileOf(m.kern)
-	var diff []float64
-	if prof != nil && n > 0 {
-		diff = make([]float64, len(m.xs[0]))
-	}
+	prof := m.kern.Profile()
+	diff := make([]float64, m.kern.Dim())
 	for i := 0; i < n; i++ {
 		xi := m.xs[i]
 		for j := i; j < n; j++ {
-			var v float64
-			if prof != nil {
-				xj := m.xs[j]
-				for t := range diff {
-					diff[t] = xi[t] - xj[t]
-				}
-				v = prof.Eval(diff)
-			} else {
-				v = m.kern.Eval(xi, m.xs[j])
+			xj := m.xs[j]
+			for t := range diff {
+				diff[t] = xi[t] - xj[t]
 			}
+			v := prof.Eval(diff)
 			K.Set(i, j, v)
 			K.Set(j, i, v)
 		}
@@ -512,25 +501,17 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch, dmean, dvar [
 	rows := m.kernelRows()
 	sc.grow(len(rows))
 	ks := sc.ks[:len(rows)]
-	var kss float64
-	if sc.prof != nil {
-		diff := sc.diff
-		for i, xi := range rows {
-			for t := range diff {
-				diff[t] = sc.x[t] - xi[t]
-			}
-			ks[i] = sc.prof.Eval(diff)
-		}
+	diff := sc.diff
+	for i, xi := range rows {
 		for t := range diff {
-			diff[t] = 0
+			diff[t] = sc.x[t] - xi[t]
 		}
-		kss = sc.prof.Eval(diff)
-	} else {
-		for i, xi := range rows {
-			ks[i] = m.kern.Eval(sc.x, xi)
-		}
-		kss = m.kern.Eval(sc.x, sc.x)
+		ks[i] = sc.prof.Eval(diff)
 	}
+	for t := range diff {
+		diff[t] = 0
+	}
+	kss := sc.prof.Eval(diff)
 	mean, variance = m.posterior(ks, kss, sc.v)
 	if dmean != nil {
 		m.seGrad(rows, ks, sc, variance == 0, dmean, dvar)
@@ -541,13 +522,13 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch, dmean, dvar [
 // PredictLatentAugmented evaluates PredictLatent at the augmented points
 // (x, fs[s]) for every s, writing means[s] and variances[s]; x holds every
 // input coordinate but the last. This is eq. (10)'s propagation through the
-// high-fidelity GP. When the kernel is the eq. (9) NARGP kernel
-// (kernel.SplitNARGP), the design-only factors k2 and k3 are evaluated once
-// for x and only k1 once per node, so each extra node costs n one-dimensional
-// kernel evaluations plus the O(n²) solve instead of n full kernel
-// evaluations. Results are bit-identical to per-node PredictLatent, which
-// other kernels run. Safe for concurrent use; allocates nothing in steady
-// state.
+// high-fidelity GP. When the kernel is the eq. (9) kernel (kernel.NARGP),
+// the design-only factors k2 and k3 are evaluated once for x and only k1
+// once per node, so each extra node costs n one-dimensional kernel
+// evaluations plus the O(n²) solve instead of n full kernel evaluations.
+// Results are bit-identical to per-node PredictLatent, which an SE-ARD
+// kernel over the augmented input runs. Safe for concurrent use; allocates
+// nothing in steady state.
 func (m *Model) PredictLatentAugmented(x, fs, means, variances []float64) {
 	m.PredictLatentAugmentedGrad(x, fs, nil, means, variances, nil, nil)
 }
@@ -570,7 +551,7 @@ func (m *Model) PredictLatentAugmentedGrad(x, fs, dfs, means, variances, dmeans,
 	}
 	sc := m.getPredictScratch()
 	defer m.predPool.Put(sc)
-	if !sc.nargpOK {
+	if sc.nargp == nil {
 		var am, av []float64 // full-input gradients of one node
 		if dmeans != nil {
 			am, av = sc.am, sc.av
@@ -667,58 +648,6 @@ func (m *Model) PredictBatch(xs [][]float64) (means, variances []float64) {
 	return means, variances
 }
 
-// SampleJoint draws one realization of the latent function at the given
-// points from the joint posterior — the primitive behind Thompson-sampling
-// acquisition (§2.4 lists it among the alternatives to wEI). The joint
-// covariance is Σ = K** − K*ᵀ(K+σ²I)⁻¹K*, factorized with jitter.
-func (m *Model) SampleJoint(xs [][]float64, rng *rand.Rand) ([]float64, error) {
-	if m.lowRank != nil {
-		return nil, errors.New("gp: SampleJoint is not supported on low-rank models")
-	}
-	q := len(xs)
-	std := make([][]float64, q)
-	for i, x := range xs {
-		std[i] = m.toStdX(x)
-	}
-	n := len(m.xs)
-	// Cross-covariances and posterior mean.
-	mean := make([]float64, q)
-	vcols := make([][]float64, q) // L⁻¹ k*_i
-	for i := 0; i < q; i++ {
-		ks := make([]float64, n)
-		for j := 0; j < n; j++ {
-			ks[j] = m.kern.Eval(std[i], m.xs[j])
-		}
-		mean[i] = m.yMean + m.yStd*linalg.Dot(ks, m.alpha)
-		vcols[i] = m.chol.ForwardSolve(ks)
-	}
-	cov := linalg.NewMatrix(q, q)
-	for i := 0; i < q; i++ {
-		for j := i; j < q; j++ {
-			v := m.kern.Eval(std[i], std[j]) - linalg.Dot(vcols[i], vcols[j])
-			cov.Set(i, j, v)
-			cov.Set(j, i, v)
-		}
-	}
-	cv, err := linalg.NewCholesky(cov)
-	if err != nil {
-		return nil, fmt.Errorf("gp: joint posterior covariance: %w", err)
-	}
-	z := make([]float64, q)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	sample := make([]float64, q)
-	for i := 0; i < q; i++ {
-		s := 0.0
-		for j := 0; j <= i; j++ {
-			s += cv.L.At(i, j) * z[j]
-		}
-		sample[i] = mean[i] + m.yStd*s
-	}
-	return sample, nil
-}
-
 // NLML returns the trained model's negative log marginal likelihood.
 func (m *Model) NLML() float64 { return m.nlml }
 
@@ -727,35 +656,6 @@ func (m *Model) NLML() float64 { return m.nlml }
 // which the paper's fidelity-selection threshold γ = 0.01 is meaningful
 // across problems.
 func (m *Model) OutputStd() float64 { return m.yStd }
-
-// LOO computes analytic leave-one-out residuals from the trained model
-// (Rasmussen & Williams eq. 5.10-5.12): for each training point i, the
-// prediction error y_i − µ_{−i}(x_i) and the LOO predictive variance, both
-// in original output units, without refitting n models:
-//
-//	µ_i − y_i = α_i / [K⁻¹]_ii,   σ²_i = 1 / [K⁻¹]_ii.
-//
-// Large standardized residuals flag model misspecification; the experiment
-// harness uses them as a surrogate-health diagnostic.
-func (m *Model) LOO() (residuals, variances []float64) {
-	if m.lowRank != nil {
-		return nil, nil // no exact Gram inverse on the low-rank path
-	}
-	n := len(m.xs)
-	Kinv := m.chol.Inverse()
-	residuals = make([]float64, n)
-	variances = make([]float64, n)
-	for i := 0; i < n; i++ {
-		kii := Kinv.At(i, i)
-		residuals[i] = -m.alpha[i] / kii * m.yStd
-		variances[i] = 1 / kii * m.yStd * m.yStd
-	}
-	return residuals, variances
-}
-
-// Noise returns the trained observation-noise standard deviation in original
-// output units.
-func (m *Model) Noise() float64 { return math.Exp(m.logNoise) * m.yStd }
 
 // Kernel exposes the trained kernel (owned by the model; treat as read-only).
 func (m *Model) Kernel() kernel.Kernel { return m.kern }

@@ -109,7 +109,7 @@ func TestPredictLatentAugmentedGradMatchesFiniteDifference(t *testing.T) {
 				aug[i] = append(append([]float64(nil), x...), math.Cos(2*x[0])+0.3*y[i])
 				y[i] = 1.2*y[i] + 0.1*aug[i][d]*aug[i][d]
 			}
-			k := kernel.NewNARGP(d)
+			var k kernel.Kernel = kernel.NewNARGP(d)
 			if tc.seard {
 				k = kernel.NewSEARD(d + 1)
 			}

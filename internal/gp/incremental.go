@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/kernel"
 	"repro/internal/linalg"
 )
 
@@ -44,20 +43,14 @@ func (m *Model) AppendObservation(x []float64, y float64) error {
 	}
 	n := len(m.xs)
 	row := m.rowScratch(n)
-	prof := kernel.ProfileOf(m.kern)
-	if prof != nil {
-		diff := m.diffScratch(len(sx))
-		for i := 0; i < n; i++ {
-			xi := m.xs[i]
-			for t := range diff {
-				diff[t] = sx[t] - xi[t]
-			}
-			row[i] = prof.Eval(diff)
+	prof := m.kern.Profile()
+	diff := m.diffScratch(len(sx))
+	for i := 0; i < n; i++ {
+		xi := m.xs[i]
+		for t := range diff {
+			diff[t] = sx[t] - xi[t]
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			row[i] = m.kern.Eval(sx, m.xs[i])
-		}
+		row[i] = prof.Eval(diff)
 	}
 	kss := m.kern.Eval(sx, sx)
 	noise2 := math.Exp(2 * m.logNoise)

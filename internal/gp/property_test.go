@@ -83,15 +83,14 @@ func TestDuplicateTrainingPoints(t *testing.T) {
 	}
 }
 
-// The kernel choice must not change the exact-interpolation property.
+// The kernel choice must not change the exact-interpolation property: SE-ARD
+// and the eq. (9) kernel over the same two-coordinate inputs.
 func TestInterpolationAcrossKernels(t *testing.T) {
 	kernels := []func() kernel.Kernel{
-		func() kernel.Kernel { return kernel.NewSEARD(1) },
-		func() kernel.Kernel { return kernel.NewMatern32(1) },
-		func() kernel.Kernel { return kernel.NewMatern52(1) },
-		func() kernel.Kernel { return kernel.NewRationalQuadratic(1) },
+		func() kernel.Kernel { return kernel.NewSEARD(2) },
+		func() kernel.Kernel { return kernel.NewNARGP(1) },
 	}
-	X := [][]float64{{0}, {0.5}, {1}}
+	X := [][]float64{{0, 0.3}, {0.5, -0.4}, {1, 0.8}}
 	y := []float64{1, -1, 2}
 	for _, mk := range kernels {
 		rng := rand.New(rand.NewSource(25))

@@ -56,19 +56,12 @@ func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, xs [][]float64, ys []floa
 	}
 }
 
-// fillCovariance writes K + σ_n²·I into dst (symmetric-half evaluation, both
-// triangles stored) using prof when non-nil, else the direct kernel path.
-func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, kern kernel.Kernel,
-	geo *pairGeo, xs [][]float64, noise2 float64) {
-	n := len(xs)
+// fillCovariance writes K + σ_n²·I over n points into dst (symmetric-half
+// evaluation, both triangles stored).
+func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, geo *pairGeo, n int, noise2 float64) {
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			var v float64
-			if prof != nil {
-				v = prof.Eval(geo.diff(i, j))
-			} else {
-				v = kern.Eval(xs[i], xs[j])
-			}
+			v := prof.Eval(geo.diff(i, j))
 			dst.Set(i, j, v)
 			dst.Set(j, i, v)
 		}
@@ -83,11 +76,11 @@ func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, kern kernel.Ker
 func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
 	n := len(w.xs)
 	nk := w.kern.NumHyper()
-	prof := kernel.ProfileOf(w.kern)
+	prof := w.kern.Profile()
 	noise2 := math.Exp(2 * w.logNoise)
 
 	// Pass 1: covariance fill and factorization.
-	fillCovariance(w.K, prof, w.kern, w.geo, w.xs, noise2)
+	fillCovariance(w.K, prof, w.geo, n, noise2)
 	chol, err := linalg.NewCholeskyReuse(w.K, w.chol)
 	if err != nil {
 		return 0, nil, err
@@ -115,11 +108,7 @@ func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
 			if lo > hi {
 				lo, hi = j, i
 			}
-			if prof != nil {
-				prof.EvalGrad(w.geo.diff(lo, hi), w.gbuf)
-			} else {
-				w.kern.EvalGrad(w.xs[lo], w.xs[hi], w.gbuf)
-			}
+			prof.EvalGrad(w.geo.diff(lo, hi), w.gbuf)
 			wij := wi[j] - ai*alpha[j]
 			for h := 0; h < nk; h++ {
 				out[h] += wij * w.gbuf[h]

@@ -1,7 +1,7 @@
-// Package kernel implements covariance functions for Gaussian-process
-// regression: squared-exponential and Matérn kernels with ARD length scales,
-// sum/product/slice combinators, and the structured multi-fidelity kernel of
-// Perdikaris et al. (2017) used by the paper's fusion model:
+// Package kernel implements the two covariance functions of the paper's
+// Gaussian-process models: the squared-exponential kernel with ARD length
+// scales (eq. 2), and the structured multi-fidelity kernel of Perdikaris et
+// al. (2017) used by the fused high-fidelity GP (eq. 9):
 //
 //	k_h(z, z') = k1(f, f') · k2(x, x') + k3(x, x'),
 //
@@ -12,8 +12,6 @@
 // train them, and every kernel provides analytic gradients with respect to its
 // log-hyperparameters for fast marginal-likelihood training.
 package kernel
-
-import "fmt"
 
 // Kernel is a positive-definite covariance function with trainable
 // log-hyperparameters.
@@ -36,20 +34,15 @@ type Kernel interface {
 	Bounds(lo, hi []float64) ([]float64, []float64)
 	// Clone returns an independent deep copy.
 	Clone() Kernel
+	// Profile returns a snapshot of the kernel at its current
+	// hyperparameters that evaluates on coordinate differences (see
+	// PairProfile).
+	Profile() PairProfile
 }
 
 // HyperVector returns the kernel's log-hyperparameters as a fresh slice.
 func HyperVector(k Kernel) []float64 {
 	return k.Hyper(make([]float64, 0, k.NumHyper()))
-}
-
-// SetHyperVector installs a full hyperparameter vector, panicking if the
-// length does not match.
-func SetHyperVector(k Kernel, v []float64) {
-	if len(v) != k.NumHyper() {
-		panic(fmt.Sprintf("kernel: hyper length %d != %d", len(v), k.NumHyper()))
-	}
-	k.SetHyper(v)
 }
 
 // BoundsVectors returns fresh lo/hi slices of log-space training bounds.

@@ -23,13 +23,13 @@ func checkGradFD(t *testing.T, k Kernel, x1, x2 []float64, tol float64) {
 	for j := 0; j < n; j++ {
 		save := theta[j]
 		theta[j] = save + h
-		SetHyperVector(k, theta)
+		k.SetHyper(theta)
 		up := k.Eval(x1, x2)
 		theta[j] = save - h
-		SetHyperVector(k, theta)
+		k.SetHyper(theta)
 		dn := k.Eval(x1, x2)
 		theta[j] = save
-		SetHyperVector(k, theta)
+		k.SetHyper(theta)
 		fd := (up - dn) / (2 * h)
 		if math.Abs(fd-grad[j]) > tol*(1+math.Abs(fd)) {
 			t.Fatalf("hyper %d: analytic %v vs fd %v", j, grad[j], fd)
@@ -50,7 +50,7 @@ func randHyper(rng *rand.Rand, k Kernel) {
 	for i := range h {
 		h[i] = rng.Float64()*2 - 1
 	}
-	SetHyperVector(k, h)
+	k.SetHyper(h)
 }
 
 func TestSEARDValue(t *testing.T) {
@@ -66,9 +66,9 @@ func TestSEARDValue(t *testing.T) {
 
 func TestSEARDLengthScaleEffect(t *testing.T) {
 	k := NewSEARD(1)
-	SetHyperVector(k, []float64{0, math.Log(10)}) // long length scale
+	k.SetHyper([]float64{0, math.Log(10)}) // long length scale
 	far := k.Eval([]float64{0}, []float64{1})
-	SetHyperVector(k, []float64{0, math.Log(0.1)}) // short length scale
+	k.SetHyper([]float64{0, math.Log(0.1)}) // short length scale
 	near := k.Eval([]float64{0}, []float64{1})
 	if far <= near {
 		t.Fatalf("longer length scale should increase correlation: %v vs %v", far, near)
@@ -89,13 +89,13 @@ func TestSEARDGradient(t *testing.T) {
 		for j := range theta {
 			save := theta[j]
 			theta[j] = save + h
-			SetHyperVector(k, theta)
+			k.SetHyper(theta)
 			up := k.Eval(x1, x2)
 			theta[j] = save - h
-			SetHyperVector(k, theta)
+			k.SetHyper(theta)
 			dn := k.Eval(x1, x2)
 			theta[j] = save
-			SetHyperVector(k, theta)
+			k.SetHyper(theta)
 			fd := (up - dn) / (2 * h)
 			if math.Abs(fd-grad[j]) > 1e-5*(1+math.Abs(fd)) {
 				return false
@@ -109,80 +109,12 @@ func TestSEARDGradient(t *testing.T) {
 	}
 }
 
-func TestMaternGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, mk := range []Kernel{NewMatern32(3), NewMatern52(3)} {
-		randHyper(rng, mk)
-		checkGradFD(t, mk, randVec(rng, 3), randVec(rng, 3), 1e-5)
-	}
-}
-
-func TestMaternAtZeroDistance(t *testing.T) {
-	for _, mk := range []Kernel{NewMatern32(2), NewMatern52(2)} {
-		x := []float64{0.3, -0.7}
-		if got := mk.Eval(x, x); math.Abs(got-1) > 1e-15 {
-			t.Fatalf("k(x,x) = %v, want 1 (unit amplitude)", got)
-		}
-		// Gradient at zero distance must be finite (no r=0 singularity).
-		grad := make([]float64, mk.NumHyper())
-		mk.EvalGrad(x, x, grad)
-		for _, g := range grad {
-			if math.IsNaN(g) || math.IsInf(g, 0) {
-				t.Fatalf("gradient at zero distance: %v", grad)
-			}
-		}
-	}
-}
-
-func TestMaternHeavierTails(t *testing.T) {
-	// At large distance, Matérn decays slower than SE.
-	se := NewSEARD(1)
-	m52 := NewMatern52(1)
-	x1, x2 := []float64{0}, []float64{4}
-	if se.Eval(x1, x2) >= m52.Eval(x1, x2) {
-		t.Fatal("SE should decay faster than Matérn-5/2 at large distance")
-	}
-}
-
-func TestConstantKernel(t *testing.T) {
-	k := NewConstant(3)
-	SetHyperVector(k, []float64{math.Log(2)})
-	if got := k.Eval(randVec(rand.New(rand.NewSource(1)), 3), randVec(rand.New(rand.NewSource(2)), 3)); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("constant = %v, want 4", got)
-	}
-	rng := rand.New(rand.NewSource(9))
-	checkGradFD(t, k, randVec(rng, 3), randVec(rng, 3), 1e-6)
-}
-
-func TestSumProductValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a, b := NewSEARD(2), NewMatern52(2)
-	randHyper(rng, a)
-	randHyper(rng, b)
-	x1, x2 := randVec(rng, 2), randVec(rng, 2)
-	sum := NewSum(a.Clone(), b.Clone())
-	prod := NewProduct(a.Clone(), b.Clone())
-	if got, want := sum.Eval(x1, x2), a.Eval(x1, x2)+b.Eval(x1, x2); math.Abs(got-want) > 1e-14 {
-		t.Fatalf("sum %v != %v", got, want)
-	}
-	if got, want := prod.Eval(x1, x2), a.Eval(x1, x2)*b.Eval(x1, x2); math.Abs(got-want) > 1e-14 {
-		t.Fatalf("product %v != %v", got, want)
-	}
-}
-
-func TestSumProductGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	k := NewSum(NewProduct(NewSEARD(2), NewMatern32(2)), NewSEARD(2))
-	randHyper(rng, k)
-	checkGradFD(t, k, randVec(rng, 2), randVec(rng, 2), 1e-5)
-}
-
 func TestHyperRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	k := NewNARGP(3)
 	randHyper(rng, k)
 	h1 := HyperVector(k)
-	SetHyperVector(k, h1)
+	k.SetHyper(h1)
 	h2 := HyperVector(k)
 	for i := range h1 {
 		if h1[i] != h2[i] {
@@ -194,36 +126,13 @@ func TestHyperRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSliceKernel(t *testing.T) {
-	inner := NewSEARD(2)
-	s := NewSlice(inner, 1, 3, 4)
-	x1 := []float64{9, 0.1, 0.2, 9}
-	x2 := []float64{-9, 0.3, 0.4, -9}
-	want := inner.Eval([]float64{0.1, 0.2}, []float64{0.3, 0.4})
-	if got := s.Eval(x1, x2); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("slice eval %v != %v", got, want)
-	}
-	if s.Dim() != 4 {
-		t.Fatalf("slice dim %d", s.Dim())
-	}
-}
-
-func TestSlicePanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSlice(NewSEARD(2), 0, 1, 4)
-}
-
 func TestNARGPStructure(t *testing.T) {
 	d := 3
 	k := NewNARGP(d)
 	if k.Dim() != d+1 {
 		t.Fatalf("NARGP dim %d, want %d", k.Dim(), d+1)
 	}
-	// NumHyper: k1 (1-d SE: 2) + k2 (d-dim SE: d+1) + k3 (d+1) = d+d+4... wait
+	// NumHyper: k1 (1-d SE: 2) + k2 (d-dim SE: d+1) + k3 (d+1).
 	want := 2 + (d + 1) + (d + 1)
 	if k.NumHyper() != want {
 		t.Fatalf("NARGP hypers %d, want %d", k.NumHyper(), want)
@@ -240,7 +149,7 @@ func TestNARGPIgnoresFWhenK1Flat(t *testing.T) {
 	k := NewNARGP(d)
 	h := make([]float64, k.NumHyper())
 	h[1] = 5 // log l_f large → k1 ≈ constant
-	SetHyperVector(k, h)
+	k.SetHyper(h)
 	z1 := []float64{0.1, 0.2, -3}
 	z2 := []float64{0.1, 0.2, +3}
 	v1 := k.Eval(z1, z1)
@@ -253,11 +162,7 @@ func TestNARGPIgnoresFWhenK1Flat(t *testing.T) {
 // Gram matrices of valid kernels must be symmetric PSD.
 func TestGramPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	kernels := []Kernel{
-		NewSEARD(3), NewMatern32(3), NewMatern52(3),
-		NewSum(NewSEARD(3), NewMatern52(3)),
-		NewProduct(NewSEARD(3), NewMatern32(3)),
-	}
+	kernels := []Kernel{NewSEARD(3), NewNARGP(2)}
 	for _, k := range kernels {
 		randHyper(rng, k)
 		n := 8
@@ -298,7 +203,7 @@ func TestCloneIndependence(t *testing.T) {
 	for i := range h {
 		h[i] = 1
 	}
-	SetHyperVector(c, h)
+	c.SetHyper(h)
 	for _, v := range HyperVector(k) {
 		if v != 0 {
 			t.Fatal("Clone shares hyperparameter storage")
@@ -307,7 +212,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestBoundsLengths(t *testing.T) {
-	for _, k := range []Kernel{NewSEARD(4), NewMatern52(2), NewNARGP(3), NewConstant(1)} {
+	for _, k := range []Kernel{NewSEARD(4), NewNARGP(3)} {
 		lo, hi := BoundsVectors(k)
 		if len(lo) != k.NumHyper() || len(hi) != k.NumHyper() {
 			t.Fatalf("%T bounds lengths %d/%d, want %d", k, len(lo), len(hi), k.NumHyper())

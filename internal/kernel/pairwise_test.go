@@ -6,20 +6,12 @@ import (
 	"testing"
 )
 
-// profileKernels enumerates every built-in kernel (including the NARGP
-// composite) with a fresh instance per call.
+// profileKernels enumerates both kernels over d-dimensional inputs, with a
+// fresh instance per call.
 func profileKernels(d int) map[string]Kernel {
 	return map[string]Kernel{
-		"seard":    NewSEARD(d),
-		"matern32": NewMatern32(d),
-		"matern52": NewMatern52(d),
-		"constant": NewConstant(d),
-		"rq":       NewRationalQuadratic(d),
-		"periodic": NewPeriodic(d),
-		"sum":      NewSum(NewSEARD(d), NewMatern52(d)),
-		"product":  NewProduct(NewSEARD(d), NewConstant(d)),
-		"slice":    NewSlice(NewSEARD(d-1), 1, d, d),
-		"nargp":    NewNARGP(d - 1),
+		"seard": NewSEARD(d),
+		"nargp": NewNARGP(d - 1),
 	}
 }
 
@@ -35,11 +27,8 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 				for j := range h {
 					h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 				}
-				SetHyperVector(k, h)
-				p := ProfileOf(k)
-				if p == nil {
-					t.Fatalf("%s: no profile", name)
-				}
+				k.SetHyper(h)
+				p := k.Profile()
 				if p.NumHyper() != nh {
 					t.Fatalf("%s: profile NumHyper %d != %d", name, p.NumHyper(), nh)
 				}
@@ -76,103 +65,20 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 	}
 }
 
-// opaqueKernel wraps a kernel while hiding its Pairwise implementation.
-type opaqueKernel struct{ Kernel }
-
-func (o opaqueKernel) Clone() Kernel { return opaqueKernel{o.Kernel.Clone()} }
-
-func TestProfileOfUnsupportedReturnsNil(t *testing.T) {
-	plain := opaqueKernel{NewSEARD(2)}
-	if p := ProfileOf(plain); p != nil {
-		t.Fatal("opaque kernel unexpectedly produced a profile")
-	}
-	// Composites degrade to nil when any sub-kernel is unsupported.
-	for name, k := range map[string]Kernel{
-		"sum":     NewSum(NewSEARD(2), plain),
-		"product": NewProduct(plain, NewSEARD(2)),
-		"slice":   NewSlice(opaqueKernel{NewSEARD(1)}, 0, 1, 2),
-	} {
-		if p := ProfileOf(k); p != nil {
-			t.Fatalf("%s with opaque sub-kernel unexpectedly produced a profile", name)
-		}
-	}
-}
-
 func TestProfileSnapshotsHyperparameters(t *testing.T) {
 	k := NewSEARD(2)
-	SetHyperVector(k, []float64{0.3, -0.2, 0.1})
-	p := ProfileOf(k)
+	k.SetHyper([]float64{0.3, -0.2, 0.1})
+	p := k.Profile()
 	x1 := []float64{0.5, -1.2}
 	x2 := []float64{-0.3, 0.7}
 	diff := []float64{x1[0] - x2[0], x1[1] - x2[1]}
 	before := p.Eval(diff)
-	SetHyperVector(k, []float64{1.1, 0.4, -0.9})
+	k.SetHyper([]float64{1.1, 0.4, -0.9})
 	if got := p.Eval(diff); got != before {
 		t.Fatalf("profile tracked SetHyper: %v != snapshot %v", got, before)
 	}
-	if fresh := ProfileOf(k).Eval(diff); fresh != k.Eval(x1, x2) {
+	if fresh := k.Profile().Eval(diff); fresh != k.Eval(x1, x2) {
 		t.Fatalf("fresh profile %v != direct %v", fresh, k.Eval(x1, x2))
-	}
-}
-
-// TestSplitNARGPBitIdentical checks the eq. (9) split against the whole
-// profile: recombined factors must reproduce Eval bit for bit, diagonal
-// included.
-func TestSplitNARGPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, d := range []int{1, 5, 36} {
-		k := NewNARGP(d)
-		lo, hi := BoundsVectors(k)
-		for trial := 0; trial < 20; trial++ {
-			h := make([]float64, k.NumHyper())
-			for j := range h {
-				h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
-			}
-			SetHyperVector(k, h)
-			p := ProfileOf(k)
-			s, ok := SplitNARGP(p, d+1)
-			if !ok || s.Dim != d {
-				t.Fatalf("d=%d: SplitNARGP = (dim %d, %v), want (dim %d, true)", d, s.Dim, ok, d)
-			}
-			diff := make([]float64, d+1)
-			for pass := 0; pass < 2; pass++ {
-				if pass == 1 {
-					for j := range diff {
-						diff[j] = rng.NormFloat64()
-					}
-				}
-				got := float64(s.K1.Eval(diff[d:])*s.K2.Eval(diff[:d])) + s.K3.Eval(diff[:d])
-				if want := p.Eval(diff); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("d=%d trial %d: split %v != profile %v", d, trial, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestSplitNARGPRejectsOtherShapes covers the fallback contract: only the
-// NewNARGP structure splits.
-func TestSplitNARGPRejectsOtherShapes(t *testing.T) {
-	const d = 3
-	se := func(n int) Kernel { return NewSEARD(n) }
-	for name, k := range map[string]Kernel{
-		"seard": se(d + 1),
-		"sum":   NewSum(se(d+1), se(d+1)),
-		"swapped-product": NewSum(NewProduct(NewSlice(se(d), 0, d, d+1), NewSlice(se(1), d, d+1, d+1)),
-			NewSlice(se(d), 0, d, d+1)),
-		"k1-not-last": NewSum(NewProduct(NewSlice(se(1), 0, 1, d+1), NewSlice(se(d), 1, d+1, d+1)),
-			NewSlice(se(d), 1, d+1, d+1)),
-		"k3-partial": NewSum(NewProduct(NewSlice(se(1), d, d+1, d+1), NewSlice(se(d), 0, d, d+1)),
-			NewSlice(se(d-1), 0, d-1, d+1)),
-		"extra-coordinate": NewSum(NewProduct(NewSlice(se(1), d, d+1, d+2), NewSlice(se(d), 0, d, d+2)),
-			NewSlice(se(d), 0, d, d+2)),
-	} {
-		if _, ok := SplitNARGP(ProfileOf(k), k.Dim()); ok {
-			t.Fatalf("%s: SplitNARGP accepted a non-eq. (9) profile", name)
-		}
-	}
-	if _, ok := SplitNARGP(nil, d+1); ok {
-		t.Fatal("SplitNARGP accepted a nil profile")
 	}
 }
 
@@ -205,8 +111,44 @@ func TestSEInvSq(t *testing.T) {
 		}
 	}
 	for name, other := range profileKernels(4) {
-		if _, ok := SEInvSq(ProfileOf(other)); ok != (name == "seard") {
+		if _, ok := SEInvSq(other.Profile()); ok != (name == "seard") {
 			t.Fatalf("SEInvSq on %s: ok = %v", name, ok)
+		}
+	}
+}
+
+// TestSplitNARGPBitIdentical checks the eq. (9) split that gp's augmented
+// predictor consumes against the whole profile: the K1/K2/K3 factors,
+// recombined as float64(k1·k2) + k3, must reproduce Eval bit for bit,
+// diagonal included.
+func TestSplitNARGPBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 5, 36} {
+		k := NewNARGP(d)
+		lo, hi := BoundsVectors(k)
+		for trial := 0; trial < 20; trial++ {
+			h := make([]float64, k.NumHyper())
+			for j := range h {
+				h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+			}
+			k.SetHyper(h)
+			p := k.Profile()
+			s, ok := p.(*NARGPProfile)
+			if !ok || s.Dim != d {
+				t.Fatalf("d=%d: Profile %T, want *NARGPProfile with Dim %d", d, p, d)
+			}
+			diff := make([]float64, d+1)
+			for pass := 0; pass < 2; pass++ {
+				if pass == 1 {
+					for j := range diff {
+						diff[j] = rng.NormFloat64()
+					}
+				}
+				got := float64(s.K1.Eval(diff[d:])*s.K2.Eval(diff[:d])) + s.K3.Eval(diff[:d])
+				if want := p.Eval(diff); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("d=%d trial %d: split %v != profile %v", d, trial, got, want)
+				}
+			}
 		}
 	}
 }

@@ -16,7 +16,6 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  int
 }
 
 // NewLU factorizes the square matrix a with partial pivoting. a is not
@@ -28,7 +27,6 @@ func NewLU(a *Matrix) (*LU, error) {
 	n := a.Rows
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -48,7 +46,6 @@ func NewLU(a *Matrix) (*LU, error) {
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			sign = -sign
 		}
 		inv := 1 / lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -64,7 +61,7 @@ func NewLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // SolveVec solves A·x = b, returning x as a new vector.
@@ -100,16 +97,6 @@ func (f *LU) SolveVec(b []float64) []float64 {
 		x[i] = s / row[i]
 	}
 	return x
-}
-
-// Det returns the determinant of A.
-func (f *LU) Det() float64 {
-	n := f.lu.Rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveLinear is a convenience wrapper: factorize a and solve a·x = b.

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -59,32 +58,6 @@ func TestLUSingular(t *testing.T) {
 	})
 	if _, err := NewLU(a); err == nil {
 		t.Fatal("expected singular error")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{
-		3, 1,
-		4, 2,
-	})
-	f, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), 2, 1e-12) {
-		t.Fatalf("Det = %v, want 2", f.Det())
-	}
-	// Row-swapped matrix should negate the determinant.
-	b := NewMatrixFrom(2, 2, []float64{
-		4, 2,
-		3, 1,
-	})
-	g, err := NewLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(g.Det(), -2, 1e-12) {
-		t.Fatalf("Det = %v, want -2", g.Det())
 	}
 }
 
@@ -148,27 +121,5 @@ func TestSymEigenReconstruction(t *testing.T) {
 		if v <= 0 {
 			t.Fatalf("non-positive eigenvalue %v for SPD matrix", v)
 		}
-	}
-}
-
-func TestConditionNumber(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{
-		10, 0,
-		0, 2,
-	})
-	k, err := ConditionNumber(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(k, 5, 1e-9) {
-		t.Fatalf("cond = %v, want 5", k)
-	}
-	sing := NewMatrixFrom(2, 2, []float64{1, 1, 1, 1})
-	k, err = ConditionNumber(sing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(k, 1) {
-		t.Fatalf("cond of singular = %v, want +Inf", k)
 	}
 }

@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear-algebra kernel used by the
 // Gaussian-process and circuit-simulation layers: column-major-free dense
 // matrices, Cholesky and LU factorizations, triangular solves, and a Jacobi
-// symmetric eigensolver for diagnostics.
+// symmetric eigensolver used as a test reference.
 //
 // The package is deliberately small and allocation-conscious rather than
 // general: matrices are dense float64 in row-major order, and every routine
@@ -74,40 +74,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
-}
-
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Matrix) AddMat(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// SubMat returns m − b as a new matrix.
-func (m *Matrix) SubMat(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
-	return out
-}
-
-func checkSameShape(a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %d×%d vs %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 }
 
 // Mul returns the matrix product m·b as a new matrix.
@@ -227,37 +193,4 @@ func AXPY(alpha float64, x, y []float64) {
 	for i, xv := range x {
 		y[i] += alpha * xv
 	}
-}
-
-// ScaleVec returns alpha·x as a new vector.
-func ScaleVec(alpha float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, xv := range x {
-		out[i] = alpha * xv
-	}
-	return out
-}
-
-// SubVec returns a−b as a new vector.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: subvec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a+b as a new vector.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: addvec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }

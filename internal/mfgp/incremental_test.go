@@ -10,7 +10,7 @@ import (
 // fused predictions bit-identical.
 func TestAppendHighTruncateRoundTrip(t *testing.T) {
 	m := fitPedagogical(t, GaussHermite, 3)
-	n0 := m.LevelSize(1)
+	n0 := m.Level(1).TrainingSize()
 	probes := [][]float64{{0.11}, {0.42}, {0.87}}
 	muBefore := make([]float64, len(probes))
 	vaBefore := make([]float64, len(probes))
@@ -22,8 +22,8 @@ func TestAppendHighTruncateRoundTrip(t *testing.T) {
 			t.Fatalf("append high: %v", err)
 		}
 	}
-	if m.LevelSize(1) != n0+2 {
-		t.Fatalf("high size %d, want %d", m.LevelSize(1), n0+2)
+	if m.Level(1).TrainingSize() != n0+2 {
+		t.Fatalf("high size %d, want %d", m.Level(1).TrainingSize(), n0+2)
 	}
 	// The appended points must actually influence the posterior.
 	changed := false

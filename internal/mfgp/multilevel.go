@@ -178,9 +178,6 @@ func (m *MultiLevel) Level(l int) *gp.Model {
 	return m.models[l]
 }
 
-// LevelSize returns the training-set size of level l.
-func (m *MultiLevel) LevelSize(l int) int { return m.Level(l).TrainingSize() }
-
 // Hyper returns the per-level hyperparameter vectors, suitable for warm
 // starting (gp.Config.WarmStart) the per-level fits of a later chain.
 func (m *MultiLevel) Hyper() [][]float64 {

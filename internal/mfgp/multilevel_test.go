@@ -55,15 +55,15 @@ func TestMultiLevelAppendTruncateRoundTrip(t *testing.T) {
 		}
 	}
 	for l := 0; l < m.Levels(); l++ {
-		n := m.LevelSize(l)
+		n := m.Level(l).TrainingSize()
 		if err := m.AppendLevel(l, []float64{0.5}, 0.1); err != nil {
 			t.Fatalf("append level %d: %v", l, err)
 		}
 		if err := m.AppendLevel(l, []float64{0.6}, -0.2); err != nil {
 			t.Fatalf("append level %d: %v", l, err)
 		}
-		if m.LevelSize(l) != n+2 {
-			t.Fatalf("level %d size %d after append, want %d", l, m.LevelSize(l), n+2)
+		if m.Level(l).TrainingSize() != n+2 {
+			t.Fatalf("level %d size %d after append, want %d", l, m.Level(l).TrainingSize(), n+2)
 		}
 		if err := m.TruncateLevel(l, n); err != nil {
 			t.Fatalf("truncate level %d: %v", l, err)

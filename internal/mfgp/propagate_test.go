@@ -97,14 +97,13 @@ func TestHoistedPropagationMatchesPerNode(t *testing.T) {
 					if err := m.FitLevel(Xh, yh, cfg, rng); err != nil {
 						t.Fatal(err)
 					}
-					_, split := kernel.SplitNARGP(kernel.ProfileOf(m.Level(1).Kernel()), d+1)
-					if split == v.seard {
-						t.Fatalf("SplitNARGP = %v on the %s high kernel", split, v.name)
+					if _, nargp := m.Level(1).Kernel().(*kernel.NARGP); nargp == v.seard {
+						t.Fatalf("eq. (9) kernel = %v on the %s high kernel", nargp, v.name)
 					}
 					if got := m.Level(1).IsLowRank(); got != (v.inducing > 0) {
 						t.Fatalf("high GP low-rank = %v, want %v", got, v.inducing > 0)
 					}
-					n0 := m.LevelSize(1)
+					n0 := m.Level(1).TrainingSize()
 					checkFusedOracle(t, m, probes, "after fit")
 					for _, x := range extra {
 						y := 0.0
@@ -157,7 +156,7 @@ func TestMultiLevelHoistedMatchesPerNode(t *testing.T) {
 			}
 			check("after fit")
 			top := m.Levels() - 1
-			n0 := m.LevelSize(top)
+			n0 := m.Level(top).TrainingSize()
 			for _, x := range []float64{0.11, 0.36, 0.58, 0.81} {
 				if err := m.AppendLevel(top, []float64{x}, f2(x)); err != nil {
 					t.Fatal(err)

@@ -74,9 +74,6 @@ type FaultLog struct {
 	dropped uint64
 }
 
-// NewFaultLog returns an empty log with the default event-ring capacity.
-func NewFaultLog() *FaultLog { return NewFaultLogCap(DefaultFaultEventCap) }
-
 // NewFaultLogCap returns an empty log whose event ring keeps the newest
 // capacity events (capacity < 1 disables event recording entirely; counters
 // still work).

@@ -717,8 +717,7 @@ func validID(id string) bool {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Budget <= 0 {
@@ -895,8 +894,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ob api.Observation
-	if err := json.NewDecoder(r.Body).Decode(&ob); err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &ob) {
 		return
 	}
 	ev := problem.Evaluation{Objective: ob.Objective, Constraints: ob.Constraints, Failed: ob.Failed}
@@ -1067,8 +1065,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	width := e.req.Batch
@@ -1121,8 +1118,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.ReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.SuggestionID == "" {
@@ -1256,4 +1252,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, api.ErrorReply{Error: msg, Code: code})
+}
+
+// maxBodyBytes bounds every request body the server decodes; it matches the
+// gateway's 4 MiB read limit.
+const maxBodyBytes = 1 << 22
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. On
+// failure it writes the error reply — 413 for an oversized body, 400 for
+// malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest,
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
+	}
+	return false
 }

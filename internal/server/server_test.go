@@ -2,10 +2,14 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -410,4 +414,72 @@ func isStatus(err error, status int, code string) bool {
 		return false
 	}
 	return apiErr.Status == status && apiErr.Code == code
+}
+
+// TestServerRejectsOversizedBodies posts a body one byte over the 4 MiB
+// limit to every endpoint that decodes one: each answers 413 without
+// touching the session — the pending suggestion, the status and the session
+// list all stay as they were, and the session still accepts its observation.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	_, ts, cl := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	req := fastReq("forrester", 5, 1)
+	req.ID = "alpha"
+	if _, err := cl.CreateSession(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	sug, err := cl.Suggest(ctx, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := cl.Status(ctx, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 1 << 22
+	// An unterminated string keeps the decoder reading up to the limit.
+	prefix := `{"id":"`
+	body := prefix + strings.Repeat("a", limit+1-len(prefix))
+	for _, ep := range []struct{ name, path string }{
+		{"create", "/v1/sessions"},
+		{"observe", "/v1/sessions/alpha/observations"},
+		{"lease", "/v1/sessions/alpha/lease"},
+		{"report", "/v1/sessions/alpha/report"},
+	} {
+		t.Run(ep.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var er api.ErrorReply
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Code != api.CodeBadRequest {
+				t.Fatalf("status %d code %q, want 413 %q", resp.StatusCode, er.Code, api.CodeBadRequest)
+			}
+			after, err := cl.Status(ctx, "alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, before) {
+				t.Fatalf("status changed:\n%+v\nwant\n%+v", after, before)
+			}
+			ids, err := cl.Sessions(ctx)
+			if err != nil || len(ids) != 1 || ids[0] != "alpha" {
+				t.Fatalf("sessions: %v err=%v", ids, err)
+			}
+		})
+	}
+	again, err := cl.Suggest(ctx, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(again.X[0]) != math.Float64bits(sug.X[0]) {
+		t.Fatalf("pending suggestion moved: %+v, want %+v", again, sug)
+	}
+	if _, err := cl.Observe(ctx, "alpha", api.Observation{X: sug.X, Fidelity: sug.Fidelity, Objective: 1}); err != nil {
+		t.Fatalf("observe after rejected bodies: %v", err)
+	}
 }

@@ -76,17 +76,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the sample variance (n−1 denominator) of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}

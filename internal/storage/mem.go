@@ -163,11 +163,3 @@ func (s *Mem) CorruptHead(kind Kind, id string, keep int) error {
 	}
 	return nil
 }
-
-// Quarantined reports how many generations of (kind, id) were quarantined
-// (test helper mirroring the FS corrupt/ subdir).
-func (s *Mem) Quarantined(kind Kind, id string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.corrupt[recordKey(kind, id)])
-}

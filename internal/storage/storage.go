@@ -53,11 +53,8 @@ const (
 	KindReplica Kind = "replica"
 )
 
-// kinds lists every known kind (for Delete-everything sweeps and tests).
+// kinds lists every known kind; the metrics registry pre-creates a series per kind.
 var kinds = []Kind{KindCheckpoint, KindManifest, KindTelemetry, KindOwner, KindReplica}
-
-// Kinds returns every record kind the engine knows about.
-func Kinds() []Kind { return append([]Kind(nil), kinds...) }
 
 // Typed sentinel errors; classify with errors.Is.
 var (

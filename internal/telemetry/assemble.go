@@ -19,9 +19,6 @@ type SpanNode struct {
 	Children []*SpanNode
 }
 
-// EndUnixNs returns the span's wall-clock end.
-func (n *SpanNode) EndUnixNs() int64 { return n.StartUnixNs + n.DurNs }
-
 // SelfNs is the span's duration minus its children's — time attributable to
 // this stage itself rather than anything it awaited. Concurrent children can
 // drive it negative; it clamps to zero.

@@ -252,9 +252,6 @@ type JSONL struct {
 	err error
 }
 
-// NewJSONL wraps w in a line-buffered JSONL sink.
-func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: bufio.NewWriter(w)} }
-
 // OpenJSONL creates (truncating) path and streams events into it.
 func OpenJSONL(path string) (*JSONL, error) {
 	f, err := os.Create(path)

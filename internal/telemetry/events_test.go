@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"strings"
@@ -74,7 +75,7 @@ func TestRingConcurrent(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJSONL(&buf)
+	j := &JSONL{w: bufio.NewWriter(&buf)}
 	j.Emit(Event{Type: EventRun, TimeUnixMs: 1, Run: &RunEvent{
 		Problem: "pedagogical", Dim: 1, Budget: 15, Gamma: 0.01, InitLow: 8, InitHigh: 4,
 	}})
@@ -154,7 +155,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestJSONLStickyError(t *testing.T) {
-	j := NewJSONL(&failWriter{})
+	j := &JSONL{w: bufio.NewWriter(&failWriter{})}
 	for i := 0; i < 3000; i++ { // overflow the bufio buffer to force a write
 		j.Emit(Event{Type: EventSpan, Span: &SpanEvent{Name: strings.Repeat("x", 64)}})
 	}

@@ -241,8 +241,11 @@ func escapeLabel(v string) string {
 }
 
 // lookup returns (creating if needed) the series for (name, labels); the
-// family's kind and help are fixed by the first registration.
-func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *series {
+// family's kind and help are fixed by the first registration. A new series
+// is passed to init (if non-nil) under the write lock before it is
+// published, so its metric handle is never seen half-built and concurrent
+// first registrations agree on one handle.
+func (r *Registry) lookup(name, help string, kind metricKind, kv []string, init func(*series)) *series {
 	if r == nil {
 		return nil
 	}
@@ -272,6 +275,9 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 	s, ok := f.series[ls]
 	if !ok {
 		s = &series{labels: ls}
+		if init != nil {
+			init(s)
+		}
 		f.series[ls] = s
 		f.order = append(f.order, ls)
 	}
@@ -282,24 +288,18 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 // alternating label key/value pairs. Safe on a nil registry (returns nil,
 // and nil metrics no-op).
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	s := r.lookup(name, help, kindCounter, kv)
+	s := r.lookup(name, help, kindCounter, kv, func(s *series) { s.ctr = &Counter{} })
 	if s == nil {
 		return nil
-	}
-	if s.ctr == nil {
-		s.ctr = &Counter{}
 	}
 	return s.ctr
 }
 
 // Gauge returns (registering if needed) the gauge for name/labels.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	s := r.lookup(name, help, kindGauge, kv)
+	s := r.lookup(name, help, kindGauge, kv, func(s *series) { s.gauge = &Gauge{} })
 	if s == nil {
 		return nil
-	}
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
 	}
 	return s.gauge
 }
@@ -307,23 +307,22 @@ func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
 // GaugeFunc registers a gauge whose value is computed at scrape time — ideal
 // for uptime, queue depths and registry sizes owned by other subsystems.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	s := r.lookup(name, help, kindGaugeFunc, kv)
+	s := r.lookup(name, help, kindGaugeFunc, kv, nil)
 	if s == nil {
 		return
 	}
+	r.mu.Lock()
 	s.fn = fn
+	r.mu.Unlock()
 }
 
 // Histogram returns (registering if needed) the fixed-bucket histogram for
 // name/labels; buckets are upper bounds (nil selects DefBuckets) and are
 // fixed by the first registration.
 func (r *Registry) Histogram(name, help string, buckets []float64, kv ...string) *Histogram {
-	s := r.lookup(name, help, kindHistogram, kv)
+	s := r.lookup(name, help, kindHistogram, kv, func(s *series) { s.hist = newHistogram(buckets) })
 	if s == nil {
 		return nil
-	}
-	if s.hist == nil {
-		s.hist = newHistogram(buckets)
 	}
 	return s.hist
 }
@@ -412,6 +411,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, k := range keys {
 			r.mu.RLock()
 			s := f.series[k]
+			fn := s.fn
 			r.mu.RUnlock()
 			switch f.kind {
 			case kindCounter:
@@ -420,8 +420,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gauge.Value()))
 			case kindGaugeFunc:
 				v := 0.0
-				if s.fn != nil {
-					v = s.fn()
+				if fn != nil {
+					v = fn()
 				}
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(v))
 			case kindHistogram:
@@ -485,6 +485,7 @@ func (r *Registry) Snapshot() map[string]any {
 		for _, k := range keys {
 			r.mu.RLock()
 			s := f.series[k]
+			fn := s.fn
 			r.mu.RUnlock()
 			key := f.name + s.labels
 			switch f.kind {
@@ -493,8 +494,8 @@ func (r *Registry) Snapshot() map[string]any {
 			case kindGauge:
 				out[key] = s.gauge.Value()
 			case kindGaugeFunc:
-				if s.fn != nil {
-					out[key] = s.fn()
+				if fn != nil {
+					out[key] = fn()
 				}
 			case kindHistogram:
 				bounds, cum := s.hist.Buckets()

@@ -133,3 +133,25 @@ func TestRingDroppedInvariant(t *testing.T) {
 		t.Fatalf("dropped+retained = %d, want every emitted event accounted (%d)", got, want)
 	}
 }
+
+// FuzzParseTraceparent: ParseTraceparent never panics, and any header it
+// accepts names a valid span whose re-rendered traceparent parses back to
+// the same TraceContext. Seed inputs live in testdata/fuzz.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		tc, ok := ParseTraceparent(v)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", v, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("accepted %q as an invalid context %+v", v, tc)
+		}
+		back, ok := ParseTraceparent(tc.Traceparent())
+		if !ok || back != tc {
+			t.Fatalf("%q: round trip through %q gave %+v (ok %v), want %+v", v, tc.Traceparent(), back, ok, tc)
+		}
+	})
+}

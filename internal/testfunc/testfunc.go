@@ -376,9 +376,6 @@ func (f *LadderFunc) Evaluate(x []float64, fid problem.Fidelity) problem.Evaluat
 // Cost implements problem.Problem.
 func (f *LadderFunc) Cost(fid problem.Fidelity) float64 { return f.costs[f.rung(fid)] }
 
-// LevelFn returns the objective of rung k at x (test helper).
-func (f *LadderFunc) LevelFn(k int, x []float64) float64 { v, _ := f.levels[k](x); return v }
-
 // Forrester3 returns a 3-rung Forrester ladder on [0, 1]: the classic high
 // and low levels of Forrester() plus a medium level between them,
 //
