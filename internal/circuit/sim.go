@@ -13,16 +13,31 @@ import (
 var ErrNoConvergence = errors.New("circuit: Newton iteration did not converge")
 
 // Sim is a simulation context bound to one circuit. It owns the unknown
-// layout (node voltages followed by branch currents).
+// layout (node voltages followed by branch currents) and the Newton
+// workspace every DC and transient solve reuses, so a Sim is not safe for
+// concurrent use: build one per evaluation, never share one across
+// goroutines (devices carry integration state, so neither may the Circuit).
 type Sim struct {
 	ckt *Circuit
 	n   int // node unknowns
 	m   int // branch unknowns
+	ws  workspace
 
 	// Options.
 	MaxNewton int     // Newton iterations per solve (default 100)
 	VTol      float64 // voltage convergence tolerance (default 1e-9)
 	MaxStep   float64 // Newton per-iteration voltage damping limit (default 0.6 V)
+}
+
+// workspace is the Newton solver's storage, allocated once per Sim and
+// reused by every iteration: the stamped MNA matrix (asm.A holds its row
+// views, asm.B the right-hand side), the linear-solve result and the LU
+// factor.
+type workspace struct {
+	mat  *linalg.Matrix
+	xNew []float64
+	lu   *linalg.LU
+	asm  Asm
 }
 
 // NewSim prepares a simulator for the circuit, assigning branch indices.
@@ -36,6 +51,18 @@ func NewSim(ckt *Circuit) *Sim {
 		}
 	}
 	s.m = base - s.n
+	size := s.Size()
+	mat := linalg.NewMatrix(size, size)
+	rows := make([][]float64, size)
+	for i := range rows {
+		rows[i] = mat.Row(i)
+	}
+	s.ws = workspace{
+		mat:  mat,
+		xNew: make([]float64, size),
+		lu:   linalg.NewLU(size),
+		asm:  Asm{N: s.n, M: s.m, A: rows, B: make([]float64, size)},
+	}
 	return s
 }
 
@@ -89,16 +116,13 @@ func (s *Sim) DC() (*Solution, error) {
 }
 
 // newton solves the MNA system at time t with timestep dt, refining x in
-// place.
+// place. It allocates nothing: every iteration restamps the workspace.
 func (s *Sim) newton(x []float64, t, dt, gmin float64) error {
 	size := s.Size()
-	rows := make([][]float64, size)
-	flat := make([]float64, size*size)
-	for i := range rows {
-		rows[i] = flat[i*size : (i+1)*size]
-	}
-	b := make([]float64, size)
-	asm := &Asm{N: s.n, M: s.m, A: rows, B: b, X: x, Time: t, Dt: dt, Gmin: gmin}
+	ws := &s.ws
+	asm := &ws.asm
+	asm.X, asm.Time, asm.Dt, asm.Gmin = x, t, dt, gmin
+	flat, b, xNew := ws.mat.Data, asm.B, ws.xNew
 	for iter := 0; iter < s.MaxNewton; iter++ {
 		for i := range flat {
 			flat[i] = 0
@@ -109,11 +133,10 @@ func (s *Sim) newton(x []float64, t, dt, gmin float64) error {
 		for _, d := range s.ckt.Devices() {
 			d.Stamp(asm)
 		}
-		mat := linalg.NewMatrixFrom(size, size, flat)
-		xNew, err := linalg.SolveLinear(mat, b)
-		if err != nil {
+		if err := ws.lu.Factor(ws.mat); err != nil {
 			return fmt.Errorf("circuit: singular MNA matrix: %w", err)
 		}
+		ws.lu.SolveInto(b, xNew)
 		// Damped update on node voltages; branch currents move freely.
 		maxDelta := 0.0
 		for i := 0; i < size; i++ {
@@ -151,7 +174,7 @@ func (s *Sim) Transient(tstop, dt float64) (*Waveforms, error) {
 	if err != nil {
 		return nil, fmt.Errorf("circuit: transient DC operating point: %w", err)
 	}
-	x := append([]float64(nil), op.X...)
+	x := op.X
 	for _, d := range s.ckt.Devices() {
 		if sd, ok := d.(statefulDevice); ok {
 			sd.initState(x)
@@ -159,9 +182,10 @@ func (s *Sim) Transient(tstop, dt float64) (*Waveforms, error) {
 	}
 	steps := int(math.Ceil(tstop / dt))
 	wf := &Waveforms{
-		sim:   s,
-		Times: make([]float64, 0, steps+1),
-		Data:  make([][]float64, 0, steps+1),
+		sim:     s,
+		Times:   make([]float64, 0, steps+1),
+		Data:    make([][]float64, 0, steps+1),
+		samples: make([]float64, (steps+1)*s.Size()),
 	}
 	wf.append(0, x)
 	for k := 1; k <= steps; k++ {
@@ -183,16 +207,22 @@ func (s *Sim) Transient(tstop, dt float64) (*Waveforms, error) {
 	return wf, nil
 }
 
-// Waveforms holds a transient result: one solution vector per time point.
+// Waveforms holds a transient result: one solution vector per time point,
+// stored row-major in one slice sized up front.
 type Waveforms struct {
-	sim   *Sim
-	Times []float64
-	Data  [][]float64 // Data[k] is the solution at Times[k]
+	sim     *Sim
+	Times   []float64
+	Data    [][]float64 // Data[k] is the solution at Times[k], a capacity-capped view
+	samples []float64   // backing store of Data, len(Times)·Size() once full
 }
 
+// append records the solution x at time t in the next row of samples.
 func (w *Waveforms) append(t float64, x []float64) {
+	lo := len(w.Data) * len(x)
+	row := w.samples[lo : lo+len(x) : lo+len(x)]
+	copy(row, x)
 	w.Times = append(w.Times, t)
-	w.Data = append(w.Data, append([]float64(nil), x...))
+	w.Data = append(w.Data, row)
 }
 
 // NodeVoltages returns the voltage waveform of a named node, or an error

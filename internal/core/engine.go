@@ -807,10 +807,17 @@ func (e *Engine) drive(ctx context.Context) (*Result, error) {
 			loopErr = err
 			break
 		}
+		// The problem.evaluate span attributes simulation time, which
+		// otherwise falls between the engine.ask and engine.tell spans
+		// (nil-safe: costs nothing with telemetry off).
+		span := e.st.telem.StartSpanIn(ctx, "problem.evaluate")
+		span.Attr("rung", float64(e.st.rungOf(sug.Fid)))
 		ev, everr := e.st.evaluate(ctx, sug.X, sug.Fid)
 		if everr != nil {
 			ev.Failed = true
+			span.Attr("failed", 1)
 		}
+		span.End()
 		if err := e.Tell(sug.X, sug.Fid, ev); err != nil {
 			loopErr = err
 			break

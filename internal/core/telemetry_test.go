@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,6 +169,7 @@ func TestTelemetryEventStream(t *testing.T) {
 	var runEv *telemetry.RunEvent
 	var iters []*telemetry.IterationEvent
 	spans := map[string]int{}
+	evalRungs := map[float64]int{}
 	for _, ev := range events {
 		switch {
 		case ev.Run != nil:
@@ -176,6 +178,12 @@ func TestTelemetryEventStream(t *testing.T) {
 			iters = append(iters, ev.Iteration)
 		case ev.Span != nil:
 			spans[ev.Span.Name]++
+			if ev.Span.Name == "problem.evaluate" {
+				evalRungs[ev.Span.Attrs["rung"]]++
+			}
+			if a := ev.Span.Attrs; ev.Span.Name == "gp.fit" && a["skipped"] == 0 && !(a["evals"] >= a["restarts"] && a["restarts"] > 0) {
+				t.Fatalf("gp.fit span attrs %v: want evals >= restarts > 0", a)
+			}
 			// Every local search evaluates the acquisition at least once.
 			if a := ev.Span.Attrs; ev.Span.Name == "optimize.msp" && !(a["evals"] >= a["starts"] && a["starts"] > 0) {
 				t.Fatalf("optimize.msp span attrs %v: want evals >= starts > 0", a)
@@ -191,6 +199,11 @@ func TestTelemetryEventStream(t *testing.T) {
 	}
 	if len(iters) != len(res.History) {
 		t.Fatalf("%d iteration events for %d observations", len(iters), len(res.History))
+	}
+	// Every simulation the in-process loop runs has a problem.evaluate span
+	// tagged with its rung.
+	if evalRungs[0] != res.NumLow || evalRungs[1] != res.NumHigh || len(evalRungs) > 2 {
+		t.Fatalf("problem.evaluate spans by rung %v, want %d low and %d high", evalRungs, res.NumLow, res.NumHigh)
 	}
 
 	nInit, nAdaptive, nSigma, nAcq := 0, 0, 0, 0
@@ -227,8 +240,8 @@ func TestTelemetryEventStream(t *testing.T) {
 		t.Fatalf("adaptive=%d sigma=%d acq=%d — decision variables missing", nAdaptive, nSigma, nAcq)
 	}
 
-	// The span taxonomy: ask/tell roots plus fit and MSP children.
-	for _, name := range []string{"engine.ask", "engine.tell", "gp.fit", "optimize.msp"} {
+	// The span taxonomy: ask/tell/evaluate roots plus fit and MSP children.
+	for _, name := range []string{"engine.ask", "engine.tell", "problem.evaluate", "gp.fit", "optimize.msp"} {
 		if spans[name] == 0 {
 			t.Fatalf("no %q spans (got %v)", name, spans)
 		}
@@ -268,13 +281,20 @@ func checkLadderEventFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	var iters []*telemetry.IterationEvent
+	evalRungs := make([]int, len(res.NumByRung))
 	for _, ev := range ring.Snapshot() {
 		if ev.Iteration != nil {
 			iters = append(iters, ev.Iteration)
 		}
+		if ev.Span != nil && ev.Span.Name == "problem.evaluate" {
+			evalRungs[int(ev.Span.Attrs["rung"])]++
+		}
 	}
 	if len(iters) != len(res.History) {
 		t.Fatalf("%d iteration events for %d observations", len(iters), len(res.History))
+	}
+	if !reflect.DeepEqual(evalRungs, res.NumByRung) {
+		t.Fatalf("problem.evaluate spans by rung %v, simulations by rung %v", evalRungs, res.NumByRung)
 	}
 	nRung := 0
 	for i, ev := range iters {

@@ -208,6 +208,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 			span.Attr("failed", 1)
 			return nil, err
 		}
+		span.Attr("evals", float64(m.info.Evals))
 		span.Attr("nlml", m.nlml)
 		return m, nil
 	}
@@ -278,8 +279,9 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	// below runs in restart order, so the selected optimum is identical to
 	// the serial schedule for any worker count.
 	type fitResult struct {
-		f float64
-		x []float64
+		f     float64
+		x     []float64
+		evals int
 	}
 	results := make([]fitResult, len(starts))
 	workers := parallel.Workers(cfg.Workers)
@@ -312,12 +314,13 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 			return v
 		}
 		r := optimize.LBFGS(obj, starts[idx], optimize.LBFGSConfig{MaxIter: cfg.MaxIter})
-		results[idx] = fitResult{f: r.F, x: r.X}
+		results[idx] = fitResult{f: r.F, x: r.X, evals: r.Evals}
 	})
 	bestTheta := make([]float64, nTotal)
 	bestNLML := math.Inf(1)
 	info := FitInfo{Restarts: len(starts)}
 	for i, r := range results {
+		info.Evals += r.evals
 		if math.IsNaN(r.f) || math.IsInf(r.f, 1) {
 			info.Diverged++
 		}
@@ -343,16 +346,18 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	m.info = info
 	span.Attr("restarts", float64(info.Restarts))
 	span.Attr("diverged", float64(info.Diverged))
+	span.Attr("evals", float64(info.Evals))
 	span.Attr("nlml", m.nlml)
 	return m, nil
 }
 
 // FitInfo summarizes the hyperparameter-training bookkeeping of one Fit:
-// how many L-BFGS starts ran, how many diverged to a non-finite NLML, and
-// which start won. SkippedTraining marks warm-hyperparameter refits that
+// how many L-BFGS starts ran, how many NLML+gradient evaluations they made
+// in total, how many diverged to a non-finite NLML, and which start won. SkippedTraining marks warm-hyperparameter refits that
 // bypassed optimization entirely (Config.SkipTraining).
 type FitInfo struct {
 	Restarts        int // starting points run (default/warm start included)
+	Evals           int // NLML+gradient evaluations over every start
 	Diverged        int // starts whose NLML ended non-finite
 	BestStart       int // winning start index (0 = default/warm start)
 	SkippedTraining bool

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/kernel"
+	"repro/internal/telemetry"
 )
 
 func fixedNoise(v float64) *float64 { return &v }
@@ -336,5 +337,44 @@ func TestNARGPKernelTrains(t *testing.T) {
 	mu, va := m.PredictLatent([]float64{0.5, math.Sin(4 * math.Pi)})
 	if math.IsNaN(mu) || math.IsNaN(va) {
 		t.Fatal("NaN prediction from NARGP kernel")
+	}
+}
+
+// FitInfo.Evals and the gp.fit span's evals attribute count every
+// NLML+gradient evaluation the L-BFGS starts made; a warm refit that skips
+// training makes none.
+func TestFitInfoCountsEvaluations(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	X := make([][]float64, 15)
+	y := make([]float64, len(X))
+	for i := range X {
+		X[i] = []float64{rng.Float64(), rng.Float64()}
+		y[i] = math.Sin(4*X[i][0]) + X[i][1]
+	}
+	ring := telemetry.NewRing(16)
+	root := telemetry.NewRecorder(ring, 1).StartSpan("test")
+	m, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(2), Restarts: 2, MaxIter: 15, Span: root}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := m.FitInfo()
+	if info.Restarts != 3 || info.Evals < info.Restarts {
+		t.Fatalf("FitInfo %+v: want 3 starts and at least one evaluation each", info)
+	}
+	var attr float64
+	for _, ev := range ring.Snapshot() {
+		if ev.Span != nil && ev.Span.Name == "gp.fit" {
+			attr = ev.Span.Attrs["evals"]
+		}
+	}
+	if attr != float64(info.Evals) {
+		t.Fatalf("gp.fit span evals = %v, FitInfo.Evals = %d", attr, info.Evals)
+	}
+	warm, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(2), SkipTraining: true}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := warm.FitInfo().Evals; e != 0 {
+		t.Fatalf("skipped training counted %d evaluations", e)
 	}
 }

@@ -1,10 +1,23 @@
 package linalg
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// luSolve factorizes a into a fresh LU and solves a·x = b.
+func luSolve(a *Matrix, b []float64) ([]float64, error) {
+	f := NewLU(a.Rows)
+	if err := f.Factor(a); err != nil {
+		return nil, err
+	}
+	x := make([]float64, len(b))
+	f.SolveInto(b, x)
+	return x, nil
+}
 
 func TestLUSolveRandom(t *testing.T) {
 	f := func(seed int64) bool {
@@ -20,7 +33,7 @@ func TestLUSolveRandom(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(x)
-		got, err := SolveLinear(a, b)
+		got, err := luSolve(a, b)
 		if err != nil {
 			return false
 		}
@@ -42,7 +55,7 @@ func TestLURequiresPivoting(t *testing.T) {
 		0, 1,
 		1, 0,
 	})
-	x, err := SolveLinear(a, []float64{3, 7})
+	x, err := luSolve(a, []float64{3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,27 +69,72 @@ func TestLUSingular(t *testing.T) {
 		1, 2,
 		2, 4,
 	})
-	if _, err := NewLU(a); err == nil {
-		t.Fatal("expected singular error")
+	if err := NewLU(2).Factor(a); !errors.Is(err, ErrSingular) {
+		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestLUNonSquare(t *testing.T) {
-	if _, err := NewLU(NewMatrix(2, 3)); err == nil {
+	if err := NewLU(2).Factor(NewMatrix(2, 3)); err == nil {
 		t.Fatal("expected error for non-square input")
+	}
+	if err := NewLU(3).Factor(NewMatrix(2, 2)); err == nil {
+		t.Fatal("expected error for a matrix of the wrong size")
 	}
 }
 
 func TestLUDoesNotModifyInput(t *testing.T) {
 	a := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
 	orig := a.Clone()
-	if _, err := NewLU(a); err != nil {
+	if err := NewLU(2).Factor(a); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Data {
 		if a.Data[i] != orig.Data[i] {
-			t.Fatal("NewLU modified its input")
+			t.Fatal("Factor modified its input")
 		}
+	}
+}
+
+// A reused factor refactorizes in its own storage without allocating, solves
+// in place, and gives the same bits as a fresh factor of the same matrix.
+func TestLUReuseMatchesFreshWithoutAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 7
+	f := NewLU(n)
+	mats := make([]*Matrix, 3)
+	for k := range mats {
+		mats[k] = randomMatrix(rng, n, n)
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	x := make([]float64, n)
+	for _, a := range mats {
+		if err := f.Factor(a); err != nil {
+			t.Fatal(err)
+		}
+		copy(x, b)
+		f.SolveInto(x, x)
+		want, err := luSolve(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("reused factor x[%d] = %v, fresh factor %v", i, x[i], want[i])
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := f.Factor(mats[0]); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveInto(b, x)
+	})
+	if allocs != 0 {
+		t.Fatalf("Factor+SolveInto allocates %.1f times per call", allocs)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestCholeskyLUConsistency(t *testing.T) {
 			return false
 		}
 		xc := ch.SolveVec(b)
-		xl, err := SolveLinear(a, b)
+		xl, err := luSolve(a, b)
 		if err != nil {
 			return false
 		}
@@ -103,7 +103,7 @@ func TestSolveIdentity(t *testing.T) {
 			return true
 		}
 		b := []float64{b0, b1, b2}
-		x, err := SolveLinear(Identity(3), b)
+		x, err := luSolve(Identity(3), b)
 		if err != nil {
 			return false
 		}

@@ -3,7 +3,9 @@ package testbench
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/problem"
@@ -279,5 +281,48 @@ func TestChargePumpDeterministic(t *testing.T) {
 	x := tunedChargePump()
 	if cp.Simulate(x, problem.Low) != cp.Simulate(x, problem.Low) {
 		t.Fatal("simulation not deterministic")
+	}
+}
+
+// One PowerAmp evaluated from several goroutines gives the serial results:
+// each Evaluate builds its own circuit and simulator workspace, and the
+// shared problem holds only read-only settings.
+func TestPowerAmpConcurrentEvaluate(t *testing.T) {
+	pa := NewPowerAmp()
+	lo, hi := pa.Bounds()
+	xs := stats.LatinHypercube(rand.New(rand.NewSource(9)), lo, hi, 6)
+	fid := func(i int) problem.Fidelity {
+		if i < 2 {
+			return problem.High
+		}
+		return problem.Low
+	}
+	want := make([]problem.Evaluation, len(xs))
+	for i, x := range xs {
+		want[i] = pa.Evaluate(x, fid(i))
+	}
+	const workers = 4
+	got := make([][]problem.Evaluation, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]problem.Evaluation, len(xs))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker walks the designs from a different offset so the
+			// same design is simulated concurrently on different goroutines.
+			for k := range xs {
+				i := (k + w) % len(xs)
+				got[w][i] = pa.Evaluate(xs[i], fid(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range xs {
+			if !reflect.DeepEqual(got[w][i], want[i]) {
+				t.Fatalf("worker %d design %d: %+v, serial %+v", w, i, got[w][i], want[i])
+			}
+		}
 	}
 }
