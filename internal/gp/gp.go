@@ -353,8 +353,9 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 
 // FitInfo summarizes the hyperparameter-training bookkeeping of one Fit:
 // how many L-BFGS starts ran, how many NLML+gradient evaluations they made
-// in total, how many diverged to a non-finite NLML, and which start won. SkippedTraining marks warm-hyperparameter refits that
-// bypassed optimization entirely (Config.SkipTraining).
+// in total, how many diverged to a non-finite NLML, and which start won.
+// SkippedTraining marks warm-hyperparameter refits that bypassed
+// optimization entirely (Config.SkipTraining).
 type FitInfo struct {
 	Restarts        int // starting points run (default/warm start included)
 	Evals           int // NLML+gradient evaluations over every start
