@@ -21,6 +21,11 @@
 // when the requeued evaluation already reported from another worker, the
 // duplicate is discarded and acknowledged as such.
 //
+// A suggestion is never granted once its report was acknowledged: while an
+// outcome is being told to the session the suggestion is held out of Lease,
+// and a Lease whose outstanding set went stale because a Tell finished after
+// it was read reads the set again.
+//
 // # Durability
 //
 // The queue itself is deliberately memory-only: the ground truth of "which
@@ -178,9 +183,10 @@ type Queue struct {
 
 	mu       sync.Mutex
 	leases   map[string]*lease // by lease ID
-	bySug    map[string]string // session/suggestion key → lease ID
+	bySug    map[string]string // session/suggestion key → lease ID (or telling)
 	attempts map[string]int    // session/suggestion key → expired-lease count
 	depth    map[string]int    // session ID → outstanding suggestions at last look
+	tells    map[string]uint64 // session ID → Tells the queue has finished
 	seq      uint64            // lease ID sequence
 	// Acked idempotency keys (session/key → true) with FIFO eviction, so a
 	// worker retrying a report whose ack was lost in transit gets a clean
@@ -206,6 +212,7 @@ func New(cfg Config) (*Queue, error) {
 		bySug:    make(map[string]string),
 		attempts: make(map[string]int),
 		depth:    make(map[string]int),
+		tells:    make(map[string]uint64),
 		acked:    make(map[string]bool),
 		stop:     make(chan struct{}),
 	}
@@ -271,6 +278,17 @@ func (q *Queue) janitor() {
 
 func sugKey(sessionID, sugID string) string { return sessionID + "/" + sugID }
 
+// telling is the bySug entry of a suggestion whose outcome is being told to
+// its session (a report, or an abandonment): no lease ID is empty, and Lease
+// skips any suggestion with an entry, so the suggestion cannot be granted
+// while it leaves the session's outstanding set.
+const telling = ""
+
+// maxStaleAsks bounds how often one Lease re-reads the outstanding set after
+// a Tell finished while it was reading; past it the worker gets ErrNoWork
+// and polls again.
+const maxStaleAsks = 4
+
 // Lease asks the session for its outstanding batch (topping it up to width
 // suggestions — this is where fantasy-augmented proposals happen) and grants
 // the oldest suggestion not currently leased. width <= 0 selects
@@ -295,15 +313,39 @@ func (q *Queue) Lease(ctx context.Context, sessionID, worker string, ttl time.Du
 	}
 	// The batch top-up runs outside q.mu: surrogate fitting is slow and the
 	// session serializes it internally. Concurrent Lease calls for one
-	// session see the identical outstanding set and race only for the grant
-	// below, under the lock.
-	sugs, err := sess.AskBatch(ctx, width)
-	if err != nil {
-		return nil, err
+	// session see the identical outstanding set and race only for the grant,
+	// under the lock. A Tell that finished in between may have observed a
+	// suggestion of that set, so the set is read again rather than granted
+	// from.
+	for asks := 1; ; asks++ {
+		q.mu.Lock()
+		seen := q.tells[sessionID]
+		q.mu.Unlock()
+		sugs, err := sess.AskBatch(ctx, width)
+		if err != nil {
+			return nil, err
+		}
+		now := q.cfg.Now()
+		q.mu.Lock()
+		if q.tells[sessionID] == seen {
+			g := q.grant(sessionID, worker, ttl, now, sugs)
+			q.mu.Unlock()
+			if g == nil {
+				return nil, ErrNoWork
+			}
+			return g, nil
+		}
+		q.mu.Unlock()
+		if asks == maxStaleAsks {
+			return nil, ErrNoWork
+		}
 	}
-	now := q.cfg.Now()
-	q.mu.Lock()
-	defer q.mu.Unlock()
+}
+
+// grant leases the oldest suggestion of sugs, the session's current
+// outstanding set, that has no lease yet; nil when every one is taken.
+// Callers hold q.mu.
+func (q *Queue) grant(sessionID, worker string, ttl time.Duration, now time.Time, sugs []core.Suggestion) *Grant {
 	q.depth[sessionID] = len(sugs)
 	for i := range sugs {
 		key := sugKey(sessionID, sugs[i].ID)
@@ -332,9 +374,9 @@ func (q *Queue) Lease(ctx context.Context, sessionID, worker string, ttl time.Du
 			Suggestion: sugs[i],
 			Attempt:    l.attempt,
 			Deadline:   l.deadline,
-		}, nil
+		}
 	}
-	return nil, ErrNoWork
+	return nil
 }
 
 // Heartbeat extends a live lease by its TTL and returns the new deadline.
@@ -394,13 +436,30 @@ func (q *Queue) ReportCtx(ctx context.Context, sessionID, leaseID, sugID, idemKe
 	}
 	if live {
 		delete(q.leases, leaseID)
-		if q.bySug[key] == leaseID {
-			delete(q.bySug, key)
-		}
+	}
+	// Keep the suggestion out of Lease until the Tell has landed, unless
+	// another worker's lease on it (a requeue) already does.
+	owner, held := q.bySug[key]
+	reserved := !held || (live && owner == leaseID)
+	if reserved {
+		q.bySug[key] = telling
 	}
 	q.mu.Unlock()
 
-	if err := sess.TellByIDCtx(ctx, sugID, ev); err != nil {
+	err = sess.TellByIDCtx(ctx, sugID, ev)
+	q.mu.Lock()
+	if reserved {
+		delete(q.bySug, key)
+	}
+	q.tells[sessionID]++
+	if err == nil {
+		delete(q.attempts, key)
+		if d := q.depth[sessionID]; d > 0 {
+			q.depth[sessionID] = d - 1
+		}
+	}
+	q.mu.Unlock()
+	if err != nil {
 		if errors.Is(err, core.ErrUnknownSuggestion) || errors.Is(err, core.ErrNoPendingAsk) {
 			// The requeued evaluation already reported from elsewhere (or
 			// the suggestion was abandoned as failed): discard.
@@ -412,12 +471,6 @@ func (q *Queue) ReportCtx(ctx context.Context, sessionID, leaseID, sugID, idemKe
 		}
 		return nil, err
 	}
-	q.mu.Lock()
-	delete(q.attempts, key)
-	if d := q.depth[sessionID]; d > 0 {
-		q.depth[sessionID] = d - 1
-	}
-	q.mu.Unlock()
 	q.recordAck(sessionID, idemKey)
 	if q.met != nil {
 		if live {
@@ -460,6 +513,7 @@ func (q *Queue) recordAck(sessionID, idemKey string) {
 func (q *Queue) Scan(now time.Time) int {
 	type abandoned struct {
 		sessionID, sugID string
+		reserved         bool // holds the suggestion's telling entry
 	}
 	var giveUp []abandoned
 	q.mu.Lock()
@@ -479,7 +533,12 @@ func (q *Queue) Scan(now time.Time) int {
 			q.met.expired.Inc()
 		}
 		if q.attempts[key] >= q.cfg.MaxAttempts {
-			giveUp = append(giveUp, abandoned{l.sessionID, l.sugID})
+			// Not leasable again while the penalty is told below.
+			_, held := q.bySug[key]
+			if !held {
+				q.bySug[key] = telling
+			}
+			giveUp = append(giveUp, abandoned{l.sessionID, l.sugID, !held})
 			if q.met != nil {
 				q.met.failed.Inc()
 			}
@@ -489,17 +548,24 @@ func (q *Queue) Scan(now time.Time) int {
 	}
 	q.mu.Unlock()
 	for _, a := range giveUp {
+		key := sugKey(a.sessionID, a.sugID)
 		sess, err := q.cfg.Resolve(a.sessionID)
-		if err != nil {
-			continue // session gone; its checkpointed pending set is intact
+		if err == nil {
+			nc := sess.Problem().NumConstraints()
+			// ErrUnknownSuggestion here means a late report won the race — fine.
+			_ = sess.TellByID(a.sugID, problem.PenaltyEvaluation(nc))
 		}
-		nc := sess.Problem().NumConstraints()
-		// ErrUnknownSuggestion here means a late report won the race — fine.
-		_ = sess.TellByID(a.sugID, problem.PenaltyEvaluation(nc))
+		// A session that is gone keeps its checkpointed pending set intact.
 		q.mu.Lock()
-		delete(q.attempts, sugKey(a.sessionID, a.sugID))
-		if d := q.depth[a.sessionID]; d > 0 {
-			q.depth[a.sessionID] = d - 1
+		if a.reserved {
+			delete(q.bySug, key)
+		}
+		if err == nil {
+			q.tells[a.sessionID]++
+			delete(q.attempts, key)
+			if d := q.depth[a.sessionID]; d > 0 {
+				q.depth[a.sessionID] = d - 1
+			}
 		}
 		q.mu.Unlock()
 	}

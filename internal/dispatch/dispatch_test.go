@@ -381,3 +381,41 @@ func TestJanitorRaceLateReport(t *testing.T) {
 		q.Close()
 	}
 }
+
+// TestLeaseSkipsSuggestionReportedDuringAsk pins the no-double-offer
+// contract against the window between a Lease's AskBatch snapshot and its
+// grant: a report that lands inside that window (driven here from the
+// queue's clock, which Lease reads right after AskBatch returns) must not
+// let the stale snapshot hand the already-observed suggestion out again.
+func TestLeaseSkipsSuggestionReportedDuringAsk(t *testing.T) {
+	var inWindow func()
+	q, sess, _ := newTestQueue(t, func(c *Config) {
+		now := c.Now
+		c.Now = func() time.Time {
+			if f := inWindow; f != nil {
+				inWindow = nil
+				f()
+			}
+			return now()
+		}
+	})
+	p := sess.Problem()
+	g1 := mustLease(t, q, "w1")
+	ev := p.Evaluate(g1.Suggestion.X, g1.Suggestion.Fid)
+	inWindow = func() {
+		ack, err := q.Report("s1", g1.LeaseID, g1.Suggestion.ID, "", ev)
+		if err != nil || ack.Duplicate {
+			t.Fatalf("Report: ack=%+v err=%v", ack, err)
+		}
+	}
+	g2 := mustLease(t, q, "w2")
+	if inWindow != nil {
+		t.Fatal("the report never ran inside the lease window")
+	}
+	if g2.Suggestion.ID == g1.Suggestion.ID {
+		t.Fatalf("suggestion %s granted again after its report was acked", g1.Suggestion.ID)
+	}
+	if got := sess.Status().Observations; got != 1 {
+		t.Fatalf("Observations = %d, want 1", got)
+	}
+}
